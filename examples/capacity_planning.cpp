@@ -14,6 +14,7 @@
 // Usage: capacity_planning [--bundle FILE] [--save-bundle FILE]
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "calib/bundle.hpp"
@@ -100,8 +101,12 @@ int main(int argc, char** argv) try {
       std::vector<std::string> row{bundle.servers[s].name};
       for (std::size_t mi = 0; mi < std::size(methods); ++mi) {
         std::vector<double> rt;
+        // A failed cell (e.g. a diverged LQN solve) ends the curve: it
+        // must not read as a 0 ms prediction that meets every goal.
         for (std::size_t i = 0; i < loads[s].size(); ++i)
-          rt.push_back(predicted[cursor + i].mean_rt_s);
+          rt.push_back(predicted[cursor + i].ok()
+                           ? predicted[cursor + i].mean_rt_s
+                           : std::numeric_limits<double>::infinity());
         cursor += loads[s].size();
         row.push_back(
             util::fmt(capacity_from_curve(loads[s], rt, goal_ms / 1e3), 0));

@@ -125,7 +125,7 @@ struct BundleParseInfo {
 /// finding instead of hiding everything after it. Returns the (possibly
 /// partial) bundle; trust it only when no error was added. This is the
 /// single source of truth for the format — bundle_from_text and
-/// tools/epp_lint both run it.
+/// tools/epp_verify both run it.
 CalibrationBundle parse_bundle_text(const std::string& text,
                                     const std::string& file,
                                     lint::Diagnostics& diagnostics,

@@ -1,8 +1,7 @@
 #include "rm/manager.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace epp::rm {
@@ -16,10 +15,17 @@ ResourceManager::ResourceManager(const core::Predictor& predictor,
     throw std::invalid_argument("ResourceManager: bad capacity resolution");
 }
 
-double ResourceManager::additional_capacity(
-    const PoolServer& server, const std::map<std::string, double>& existing,
+namespace {
+
+/// The capacity probe behind both allocate() overloads. `ask(goal, mix)`
+/// answers one capacity question, or returns nullopt when it failed,
+/// which ends the probe with nullopt.
+template <typename Ask>
+std::optional<double> probe_capacity(
+    const std::map<std::string, double>& existing,
     const std::vector<ServiceClassSpec>& all_classes,
-    const ServiceClassSpec& cls, int& prediction_evaluations) const {
+    const ServiceClassSpec& cls, int& prediction_evaluations,
+    const Ask& ask) {
   double existing_total = 0.0, existing_buy = 0.0;
   double goal = cls.rt_goal_s;
   for (const ServiceClassSpec& c : all_classes) {
@@ -38,12 +44,28 @@ double ResourceManager::additional_capacity(
     const double buy_guess = existing_buy + (cls.is_buy ? extra : 0.0);
     const double mix = total_guess > 0.0 ? buy_guess / total_guess
                                          : (cls.is_buy ? 1.0 : 0.0);
-    const core::CapacityResult cap = predictor_.max_clients_for_goal(
-        server.arch, goal, mix, options_.think_time_s);
-    prediction_evaluations += cap.prediction_evaluations;
-    extra = std::max(0.0, cap.max_clients - existing_total);
+    const std::optional<core::CapacityResult> cap = ask(goal, mix);
+    if (!cap) return std::nullopt;
+    prediction_evaluations += cap->prediction_evaluations;
+    extra = std::max(0.0, cap->max_clients - existing_total);
   }
   return extra;
+}
+
+}  // namespace
+
+double ResourceManager::additional_capacity(
+    const PoolServer& server, const std::map<std::string, double>& existing,
+    const std::vector<ServiceClassSpec>& all_classes,
+    const ServiceClassSpec& cls, int& prediction_evaluations) const {
+  // The plain predictor throws (e.g. SolverDivergedError) instead of
+  // failing a question, so the probe always yields a value.
+  return *probe_capacity(
+      existing, all_classes, cls, prediction_evaluations,
+      [&](double goal, double mix) {
+        return std::optional(predictor_.max_clients_for_goal(
+            server.arch, goal, mix, options_.think_time_s));
+      });
 }
 
 Allocation ResourceManager::allocate(
@@ -70,35 +92,22 @@ Allocation ResourceManager::allocate(std::vector<ServiceClassSpec> classes,
                   const std::map<std::string, double>& existing,
                   const std::vector<ServiceClassSpec>& all_classes,
                   const ServiceClassSpec& cls, Allocation& allocation) {
-        double existing_total = 0.0, existing_buy = 0.0;
-        double goal = cls.rt_goal_s;
-        for (const ServiceClassSpec& c : all_classes) {
-          const auto it = existing.find(c.name);
-          if (it == existing.end() || it->second <= 0.0) continue;
-          existing_total += it->second;
-          if (c.is_buy) existing_buy += it->second;
-          goal = std::min(goal, c.rt_goal_s);
+        const std::optional<double> extra = probe_capacity(
+            existing, all_classes, cls, allocation.prediction_evaluations,
+            [&](double goal, double mix) {
+              const svc::CapacityOutcome outcome =
+                  resilient.max_clients_for_goal(method, server.arch, goal, mix,
+                                                 options_.think_time_s);
+              return outcome.ok() ? std::optional(outcome.value())
+                                  : std::nullopt;
+            });
+        if (!extra) {
+          // Planned around, not fatal: the server just offers nothing
+          // this round (breaker-open servers are skipped entirely).
+          ++allocation.failed_probes;
+          return 0.0;
         }
-        double extra = 0.0;
-        for (int pass = 0; pass < 2; ++pass) {
-          const double total_guess = existing_total + extra;
-          const double buy_guess = existing_buy + (cls.is_buy ? extra : 0.0);
-          const double mix = total_guess > 0.0
-                                 ? buy_guess / total_guess
-                                 : (cls.is_buy ? 1.0 : 0.0);
-          const svc::CapacityOutcome outcome = resilient.max_clients_for_goal(
-              method, server.arch, goal, mix, options_.think_time_s);
-          if (!outcome.ok()) {
-            // Planned around, not fatal: the server just offers nothing
-            // this round (breaker-open servers are skipped entirely).
-            ++allocation.failed_probes;
-            return 0.0;
-          }
-          allocation.prediction_evaluations +=
-              outcome.value().prediction_evaluations;
-          extra = std::max(0.0, outcome.value().max_clients - existing_total);
-        }
-        return extra;
+        return *extra;
       });
 }
 

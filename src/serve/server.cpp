@@ -76,8 +76,13 @@ void PredictionServer::wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
   reap_sessions(/*all=*/true);
   // Readers are gone: nothing can be admitted any more. Let the workers
-  // finish what was queued, then stop.
-  workers_stop_.store(true, std::memory_order_release);
+  // finish what was queued, then stop. The flag is published under the
+  // queue lock: a worker between its predicate check and its sleep would
+  // otherwise miss the notify and never wake for the join below.
+  {
+    const std::lock_guard lock(queue_mutex_);
+    workers_stop_.store(true, std::memory_order_release);
+  }
   queue_cv_.notify_all();
   for (std::thread& worker : workers_)
     // epp-lint: ignore(EPP-CONC-003) serialized join is this lock's purpose
@@ -114,12 +119,18 @@ void PredictionServer::accept_loop() {
     session->socket = std::move(*accepted);
     auto done = std::make_shared<std::atomic<bool>>(false);
     open_sessions_.fetch_add(1, std::memory_order_acq_rel);
+    // Start and register the reader in one critical section. A reader
+    // started before its handle is listed can serve a request, and reach
+    // recv before request_stop() walks the list. request_stop() would
+    // then never shut that reader's socket, and wait() would hang joining
+    // it. Under the lock, request_stop() either finds the handle or has
+    // already set stopping_, which the reader checks before its first read.
+    const std::lock_guard lock(sessions_mutex_);
     std::thread reader([this, session, done] {
       session_loop(session);
       open_sessions_.fetch_sub(1, std::memory_order_acq_rel);
       done->store(true, std::memory_order_release);
     });
-    const std::lock_guard lock(sessions_mutex_);
     session_threads_.push_back(
         SessionHandle{std::move(reader), std::move(done), session});
   }

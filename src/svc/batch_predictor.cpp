@@ -3,6 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/errors.hpp"
+#include "util/cancellation.hpp"
+
 namespace epp::svc {
 namespace {
 
@@ -11,6 +14,54 @@ std::int64_t snap(double value, double quantum) {
 }
 
 }  // namespace
+
+std::string_view error_code_name(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kNotCalibrated:
+      return "not-calibrated";
+    case ErrorCode::kSolverDiverged:
+      return "solver-diverged";
+    case ErrorCode::kDeadlineExceeded:
+      return "deadline-exceeded";
+    case ErrorCode::kCircuitOpen:
+      return "circuit-open";
+    case ErrorCode::kInvalidWorkload:
+      return "invalid-workload";
+    case ErrorCode::kTransientFailure:
+      return "transient-failure";
+    case ErrorCode::kInternal:
+      return "internal";
+    case ErrorCode::kOverloaded:
+      return "overloaded";
+  }
+  return "unknown";
+}
+
+// Most-derived first: InvalidWorkloadError is an invalid_argument,
+// NotCalibratedError an out_of_range, SolverDivergedError / InjectedFault
+// / Cancelled are runtime_errors.
+ErrorCode classify_active_exception() {
+  try {
+    throw;
+  } catch (const InjectedFault&) {
+    return ErrorCode::kTransientFailure;
+  } catch (const util::Cancelled&) {
+    return ErrorCode::kDeadlineExceeded;
+  } catch (const core::InvalidWorkloadError&) {
+    return ErrorCode::kInvalidWorkload;
+  } catch (const core::SolverDivergedError&) {
+    return ErrorCode::kSolverDiverged;
+  } catch (const core::NotCalibratedError&) {
+    return ErrorCode::kNotCalibrated;
+  } catch (const std::invalid_argument&) {
+    // e.g. "no such predictor supplied"
+    return ErrorCode::kNotCalibrated;
+  } catch (const std::out_of_range&) {
+    return ErrorCode::kNotCalibrated;
+  } catch (const std::exception&) {
+    return ErrorCode::kInternal;
+  }
+}
 
 BatchPredictor::BatchPredictor(const core::Predictor* historical,
                                const core::Predictor* lqn,
@@ -103,14 +154,14 @@ std::vector<PredictionResult> BatchPredictor::predict_batch(
     util::ThreadPool* pool) const {
   std::vector<PredictionResult> results(requests.size());
   // One failing request must not discard the rest of the batch, so each
-  // slot captures its own error instead of letting it propagate through
-  // parallel_for (which would drop every other result).
+  // slot captures its own error code instead of letting it propagate
+  // through parallel_for (which would drop every other result).
   const auto evaluate = [&](std::size_t i) {
     try {
       results[i] = predict(requests[i]);
-    } catch (const std::exception& error) {
+    } catch (const std::exception&) {
       results[i] = PredictionResult{};
-      results[i].error = error.what();
+      results[i].error = classify_active_exception();
     }
   };
   if (pool != nullptr && requests.size() > 1) {

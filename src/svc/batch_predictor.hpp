@@ -17,7 +17,9 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/predictor.hpp"
@@ -36,15 +38,36 @@ struct PredictionRequest {
   core::WorkloadSpec workload;
 };
 
+/// Failure taxonomy for predictions. Codes are contractual (the sweep
+/// tool prints them, tests assert on them, the wire protocol carries
+/// their values); see DESIGN.md.
+enum class ErrorCode {
+  kNotCalibrated,     // unknown server / method not supplied
+  kSolverDiverged,    // analytic solver refused its clamped iterate
+  kDeadlineExceeded,  // per-request deadline or batch budget exhausted
+  kCircuitOpen,       // breaker rejected the call without evaluating
+  kInvalidWorkload,   // workload failed boundary validation
+  kTransientFailure,  // transient fault persisted through all retries
+  kInternal,          // anything else (bug shield, never expected)
+  kOverloaded,        // admission control shed the request (epp_serve)
+};
+
+std::string_view error_code_name(ErrorCode code);
+
+/// Classify the exception currently being handled. Call only from inside
+/// a catch block; it rethrows to dispatch on the dynamic type. This is
+/// the one exception-to-ErrorCode mapping every prediction layer uses.
+ErrorCode classify_active_exception();
+
 struct PredictionResult {
   double mean_rt_s = 0.0;
   double throughput_rps = 0.0;
   bool cached = false;  // answered from the memoization cache
-  /// Batch evaluation: non-empty when this request failed (the values
-  /// above are then meaningless). Single predict() throws instead.
-  std::string error;
+  /// Batch evaluation: set when this request failed (the values above
+  /// are then meaningless). Single predict() throws instead.
+  std::optional<ErrorCode> error;
 
-  bool ok() const noexcept { return error.empty(); }
+  bool ok() const noexcept { return !error.has_value(); }
 };
 
 struct BatchOptions {
@@ -77,8 +100,9 @@ class BatchPredictor {
 
   /// Evaluate every request — fanned out on `pool` when given, serially
   /// otherwise. Results align with the input order. A request that throws
-  /// does NOT lose the rest of the batch: its slot carries the error text
-  /// (PredictionResult::error) and every other request still completes.
+  /// does NOT lose the rest of the batch: its slot carries the typed
+  /// error code (PredictionResult::error) and every other request still
+  /// completes.
   std::vector<PredictionResult> predict_batch(
       const std::vector<PredictionRequest>& requests,
       util::ThreadPool* pool = nullptr) const;

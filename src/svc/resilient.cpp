@@ -52,36 +52,6 @@ Chain fallback_chain(Method requested, bool fallback_enabled) {
   return chain;
 }
 
-/// Map the in-flight exception to the taxonomy. Most-derived first:
-/// InvalidWorkloadError is an invalid_argument, NotCalibratedError an
-/// out_of_range, SolverDivergedError / InjectedFault / Cancelled are
-/// runtime_errors.
-PredictionError map_active_exception(Method method, const std::string& server) {
-  const auto make = [&](ErrorCode code, const char* what) {
-    return PredictionError{code, method, server, what};
-  };
-  try {
-    throw;
-  } catch (const InjectedFault& error) {
-    return make(ErrorCode::kTransientFailure, error.what());
-  } catch (const util::Cancelled& error) {
-    return make(ErrorCode::kDeadlineExceeded, error.what());
-  } catch (const core::InvalidWorkloadError& error) {
-    return make(ErrorCode::kInvalidWorkload, error.what());
-  } catch (const core::SolverDivergedError& error) {
-    return make(ErrorCode::kSolverDiverged, error.what());
-  } catch (const core::NotCalibratedError& error) {
-    return make(ErrorCode::kNotCalibrated, error.what());
-  } catch (const std::invalid_argument& error) {
-    // e.g. BatchPredictor "no such predictor supplied"
-    return make(ErrorCode::kNotCalibrated, error.what());
-  } catch (const std::out_of_range& error) {
-    return make(ErrorCode::kNotCalibrated, error.what());
-  } catch (const std::exception& error) {
-    return make(ErrorCode::kInternal, error.what());
-  }
-}
-
 bool is_retryable(ErrorCode code) {
   return code == ErrorCode::kTransientFailure;
 }
@@ -96,28 +66,6 @@ bool trips_breaker(ErrorCode code) {
 }
 
 }  // namespace
-
-std::string_view error_code_name(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kNotCalibrated:
-      return "not-calibrated";
-    case ErrorCode::kSolverDiverged:
-      return "solver-diverged";
-    case ErrorCode::kDeadlineExceeded:
-      return "deadline-exceeded";
-    case ErrorCode::kCircuitOpen:
-      return "circuit-open";
-    case ErrorCode::kInvalidWorkload:
-      return "invalid-workload";
-    case ErrorCode::kTransientFailure:
-      return "transient-failure";
-    case ErrorCode::kInternal:
-      return "internal";
-    case ErrorCode::kOverloaded:
-      return "overloaded";
-  }
-  return "unknown";
-}
 
 std::string PredictionError::to_string() const {
   return std::string(error_code_name(code)) + " [" +
@@ -376,8 +324,9 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
         if (result.fallback)
           counters_.fallbacks.fetch_add(1, std::memory_order_relaxed);
         return result;
-      } catch (...) {
-        error = map_active_exception(method, request.server);
+      } catch (const std::exception& caught) {
+        error = PredictionError{classify_active_exception(), method,
+                                request.server, caught.what()};
       }
 
       if (error.code == ErrorCode::kDeadlineExceeded) {
@@ -542,8 +491,9 @@ CapacityOutcome ResilientPredictor::max_clients_for_goal(
     if (breaker != nullptr) breaker_success(*breaker);
     counters_.served.fetch_add(1, std::memory_order_relaxed);
     return result;
-  } catch (...) {
-    const PredictionError error = map_active_exception(method, server);
+  } catch (const std::exception& caught) {
+    const PredictionError error{classify_active_exception(), method, server,
+                                caught.what()};
     if (error.code == ErrorCode::kDeadlineExceeded) {
       counters_.deadline_hits.fetch_add(1, std::memory_order_relaxed);
       if (breaker != nullptr) breaker_release(*breaker);

@@ -9,12 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <exception>
+#include <future>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "calib/bundle.hpp"
@@ -512,6 +518,42 @@ TEST(PredictionServer, StopFromOwnerThreadDrainsAndJoins) {
   EXPECT_EQ(stats.queue_depth, 0u);
   // Idempotent: a second stop is a no-op.
   fixture.server->stop();
+}
+
+TEST(PredictionServer, RepeatedStartStopNeverHangs) {
+  // Regression for two shutdown races that left wait() joining forever.
+  // A worker could miss the stop notify, because the flag was published
+  // without the queue lock. A reader started before its handle was
+  // listed could serve a request and park in recv, where request_stop()
+  // never shut its socket. Each cycle starts a server, serves one request
+  // and stops it with the client still connected. A watchdog fails the
+  // test instead of letting a hung join stall the whole suite.
+  constexpr int kCycles = 300;
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread cycles([&finished] {
+    try {
+      for (int cycle = 0; cycle < kCycles; ++cycle) {
+        ServerFixture fixture;
+        net::Socket client = fixture.connect();
+        send(client,
+             predict_request(1, Method::kHistorical, "AppServF", 300.0));
+        const auto response = receive(client);
+        EXPECT_TRUE(response.has_value() && response->ok()) << cycle;
+        fixture.server->stop();
+      }
+      finished.set_value();
+    } catch (...) {
+      finished.set_exception(std::current_exception());
+    }
+  });
+  if (done.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
+    // The hung join can never be reclaimed; report and end the process.
+    std::cerr << "PredictionServer start/stop cycles hung in wait()\n";
+    std::_Exit(EXIT_FAILURE);
+  }
+  cycles.join();
+  done.get();  // rethrows a set-up failure from the cycling thread
 }
 
 TEST(PredictionServer, DoubleStartThrows) {

@@ -8,15 +8,23 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "calib/bundle.hpp"
+#include "calib/predictor_set.hpp"
 #include "core/historical_predictor.hpp"
 #include "core/hybrid_predictor.hpp"
 #include "core/lqn_predictor.hpp"
+#include "svc/resilient.hpp"
 #include "util/thread_pool.hpp"
 
 namespace epp::svc {
 namespace {
+
+// Sweeps and the planner keep thousands of result slots live; the typed
+// error code must not cost more than the two doubles and the flag beside it.
+static_assert(sizeof(PredictionResult) <= 4 * sizeof(double));
 
 core::TradeCalibration test_calibration() {
   core::TradeCalibration cal;
@@ -182,6 +190,41 @@ TEST(BatchPredictor, MissingPredictorAndBadOptionsThrow) {
   bad.quantum_clients = 0.0;
   EXPECT_THROW(BatchPredictor(&p.historical, nullptr, nullptr, bad),
                std::invalid_argument);
+}
+
+TEST(BatchPredictor, DivergedLqnCellIsTypedTheSameByBothLayers) {
+  // The clean corpus bundle's layered solver does not converge for
+  // AppServS at 0% buy and 671 clients (about 1.1x the knee). That slot
+  // must carry kSolverDiverged, never a zero prediction, and the resilient
+  // layer must classify the same cell with the same code.
+  const calib::CalibrationBundle bundle = calib::load_bundle(
+      std::string(EPP_LINT_CORPUS_DIR) + "/clean/trade.epp");
+  util::ThreadPool pool(2);
+  const calib::PredictorSet set = calib::make_predictors(bundle);
+  const std::vector<PredictionRequest> grid{
+      {Method::kLqn, "AppServS", browse_load(670.0)},
+      {Method::kLqn, "AppServS", browse_load(671.0)},
+      {Method::kHybrid, "AppServS", browse_load(671.0)},
+      {Method::kHistorical, "AppServS", browse_load(671.0)},
+      {Method::kLqn, "AppServS", browse_load(673.0)},
+  };
+  const std::vector<PredictionResult> results =
+      set.batch->predict_batch(grid, &pool);
+  ASSERT_EQ(results.size(), grid.size());
+  ASSERT_FALSE(results[1].ok());
+  EXPECT_EQ(results[1].error, ErrorCode::kSolverDiverged);
+  for (const std::size_t i : {0u, 2u, 3u, 4u}) {
+    EXPECT_TRUE(results[i].ok()) << i;
+    EXPECT_GT(results[i].mean_rt_s, 0.0) << i;
+  }
+
+  ResilienceOptions no_fallback;
+  no_fallback.fallback_enabled = false;
+  no_fallback.serve_stale = false;
+  const ResilientPredictor resilient(*set.batch, no_fallback);
+  const Outcome outcome = resilient.predict(grid[1]);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.error().code, ErrorCode::kSolverDiverged);
 }
 
 }  // namespace

@@ -778,10 +778,8 @@ TEST(BatchPredictor, PerRequestFailuresDoNotLoseTheBatch) {
       engine->predict_batch(grid, &pool);
   ASSERT_EQ(results.size(), grid.size());
   EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_NE(results[1].error.find("invalid workload"), std::string::npos)
-      << results[1].error;
-  EXPECT_FALSE(results[2].ok());
+  EXPECT_EQ(results[1].error, ErrorCode::kInvalidWorkload);
+  EXPECT_EQ(results[2].error, ErrorCode::kNotCalibrated);
   EXPECT_TRUE(results[3].ok());
   EXPECT_GT(results[3].mean_rt_s, results[0].mean_rt_s);
 }

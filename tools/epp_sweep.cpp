@@ -3,20 +3,22 @@
 // Acquires the calibration bundle through the unified calib pipeline —
 // cold-calibrated from the simulated testbed, or warm-loaded from a
 // persisted `.epp` artifact with --bundle (zero simulator work) — then
-// drives the svc::BatchPredictor over the full client-load x buy-mix
-// x method x server grid: the exact question stream a resource manager
-// issues when comparing candidate architectures (paper sections 8.2/8.5).
-// Repeated passes show the memoization cache at work — pass 1 computes,
+// serves the full client-load x buy-mix x method x server grid through
+// the svc::ResilientPredictor over the memoizing svc::BatchPredictor: the
+// exact question stream a resource manager issues when comparing
+// candidate architectures (paper sections 8.2/8.5). Every cell comes back
+// as a typed outcome, either a prediction or an error code (a cell the
+// solver cannot answer prints e.g. `solver-diverged`, never a zero).
+// Repeated passes show the memoization cache at work: pass 1 computes,
 // later passes answer from the sharded LRU.
 //
-// Resilient serving mode: any of --deadline-ms / --max-retries /
-// --fault-spec / --batch-budget-ms routes the grid through the
-// svc::ResilientPredictor instead — every cell comes back as a typed
-// outcome (value or error code), degraded cells are flagged
-// fallback/stale, and the run ends with the resilience counters. With
-// --fault-spec, deterministic seeded faults (calib::kFaultInjectionSeed)
-// are injected at the evaluation boundary; see src/svc/fault.hpp for the
-// spec grammar.
+// Resilient serving: any of --deadline-ms / --max-retries / --fault-spec
+// / --batch-budget-ms arms deadlines, retries, the fallback chain, stale
+// replay and circuit breakers; degraded cells are flagged fallback/stale.
+// Without them every cell is evaluated once by the requested method.
+// With --fault-spec, deterministic seeded faults
+// (calib::kFaultInjectionSeed) are injected at the evaluation boundary;
+// see src/svc/fault.hpp for the spec grammar.
 //
 // Usage:
 //   epp_sweep [--loads lo:hi:step] [--buys p1,p2,...]
@@ -67,8 +69,8 @@ struct SweepConfig {
   std::size_t fluid_threshold = 0;  // 0 = always exact simulation
   bool csv = false;
   calib::ArtifactCli artifact;  // --bundle / --save-bundle
-  // Resilient serving (any of these set switches the sweep to the
-  // ResilientPredictor path).
+  // Resilient serving (any of these set arms retries, fallback, stale
+  // replay and breakers).
   double deadline_ms = 0.0;
   double batch_budget_ms = 0.0;
   std::optional<int> max_retries;
@@ -102,6 +104,7 @@ int usage(std::ostream& out) {
          "warm-started from a persisted artifact with --bundle), then\n"
          "batch-evaluates the client-load x buy-mix grid for every method\n"
          "and server through the concurrent memoizing prediction engine.\n"
+         "Each cell prints its prediction or its error code.\n"
          "Produce artifacts with epp_calibrate or --save-bundle.\n\n"
          "--replications N averages each calibration benchmark over N\n"
          "independent simulator replications (seeds derived per index,\n"
@@ -109,12 +112,12 @@ int usage(std::ostream& out) {
          "populations of M+ clients from the fluid (ODE) fast path\n"
          "instead of the exact discrete-event engine.\n\n"
          "--deadline-ms / --max-retries / --fault-spec / --batch-budget-ms\n"
-         "switch to fault-tolerant serving: each cell returns a value or a\n"
-         "typed error, degraded cells are flagged fallback/stale. The fault\n"
+         "arm fault-tolerant serving: retries, lqn->hybrid->historical\n"
+         "fallback and stale replay; degraded cells are flagged. The fault\n"
          "spec grammar is 'target:knob[,knob...][;...]' with target one of\n"
          "historical|lqn|hybrid|* and knobs fail=P, latency-ms=MS, e.g.\n"
          "  --fault-spec 'lqn:latency-ms=20;*:fail=0.05'\n"
-         "Inputs are linted before any work happens (see tools/epp_lint);\n"
+         "Inputs are linted before any work happens (see epp_verify);\n"
          "lint errors abort the run with exit code 2.\n";
   return 1;
 }
@@ -186,7 +189,7 @@ int main(int argc, char** argv) try {
   const SweepConfig config = parse_args(argc, argv);
 
   // --- pre-run lint: refuse to spend calibration/solver time on inputs
-  // that cannot work (the same rules tools/epp_lint runs standalone) ----
+  // that cannot work (the structural rules epp_verify runs first) -------
   lint::Diagnostics findings;
   if (!config.artifact.load_path.empty())
     lint::lint_artifact_file(config.artifact.load_path, findings);
@@ -205,7 +208,7 @@ int main(int argc, char** argv) try {
   if (findings.has_errors()) {
     std::cerr << "epp_sweep: refusing to run with "
               << findings.count(lint::Severity::kError)
-              << " lint error(s); see epp_lint for the rule catalog\n";
+              << " lint error(s); see epp_verify for the rule catalog\n";
     return 2;
   }
 
@@ -275,130 +278,100 @@ int main(int argc, char** argv) try {
   svc::BatchPredictor& engine = *set.batch;
   const std::size_t methods = config.methods.size();
 
+  // Every sweep serves through the ResilientPredictor, so every cell comes
+  // back as a typed outcome. The resilience flags only choose the options:
+  // without them each cell is evaluated once by the requested method, with
+  // no retries, fallback, stale replay or breaker (and so no wall-clock
+  // cooldown that could make the output depend on timing).
+  svc::ResilienceOptions resilience;
   if (config.resilient()) {
-    // --- fault-tolerant serving path ---------------------------------------
-    svc::ResilienceOptions resilience;
     resilience.deadline_s = config.deadline_ms / 1e3;
     if (config.max_retries) resilience.max_retries = *config.max_retries;
     resilience.jitter_seed = calib::kRetryJitterSeed;
-    const svc::ResilientPredictor server_layer(engine, resilience);
-
-    std::vector<svc::Outcome> outcomes;
-    for (std::size_t pass = 1; pass <= config.passes; ++pass) {
-      const util::Timer timer;
-      outcomes = server_layer.predict_batch(grid, &pool,
-                                            config.batch_budget_ms / 1e3);
-      std::cerr << "pass " << pass << "/" << config.passes << ": "
-                << grid.size() << " outcomes in "
-                << util::fmt(timer.elapsed_ms(), 2) << " ms on "
-                << config.threads << " thread(s)\n";
-    }
-
-    if (config.csv) {
-      std::cout << "server,buy_pct,clients,method,status,served_by,fallback,"
-                   "stale,retries,mean_rt_ms,throughput_rps\n";
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        std::cout << grid[i].server << ','
-                  << util::fmt(100.0 * grid[i].workload.buy_fraction(), 1)
-                  << ',' << util::fmt(grid[i].workload.total_clients(), 0)
-                  << ',' << svc::method_name(grid[i].method) << ',';
-        if (outcomes[i].ok()) {
-          const svc::ResilientResult& r = outcomes[i].value();
-          std::cout << "ok," << svc::method_name(r.served_by) << ','
-                    << (r.fallback ? 1 : 0) << ',' << (r.stale ? 1 : 0) << ','
-                    << r.retries << ','
-                    << util::fmt(r.prediction.mean_rt_s * 1e3, 3) << ','
-                    << util::fmt(r.prediction.throughput_rps, 3) << '\n';
-        } else {
-          std::cout << svc::error_code_name(outcomes[i].error().code)
-                    << ",,,,,,\n";
-        }
-      }
-    } else {
-      std::vector<std::string> headers{"server", "buy_pct", "clients"};
-      for (const svc::Method method : config.methods)
-        headers.push_back(std::string(svc::method_name(method)) + "_rt_ms");
-      util::Table table(headers);
-      std::size_t cursor = 0;
-      for (const std::string& server : config.servers)
-        for (const double buy_pct : config.buy_pcts)
-          for (const double clients : config.loads) {
-            std::vector<std::string> row{server, util::fmt(buy_pct, 0),
-                                         util::fmt(clients, 0)};
-            for (std::size_t mi = 0; mi < methods; ++mi) {
-              const svc::Outcome& outcome = outcomes[cursor + mi];
-              if (outcome.ok()) {
-                const svc::ResilientResult& r = outcome.value();
-                std::string cell = util::fmt(r.prediction.mean_rt_s * 1e3, 2);
-                if (r.stale)
-                  cell += "*";  // replayed from the stale store
-                else if (r.fallback)
-                  cell += "+";  // served by a fallback method
-                row.push_back(cell);
-              } else {
-                row.push_back(
-                    std::string(svc::error_code_name(outcome.error().code)));
-              }
-            }
-            cursor += methods;
-            table.add_row(row);
-          }
-      table.print(std::cout);
-      std::cout << "(+ = fallback method, * = stale replay)\n";
-    }
-
-    const svc::ResilienceStats rstats = server_layer.stats();
-    std::cerr << "resilience: " << rstats.served << " served / "
-              << rstats.errors << " errors of " << rstats.requests
-              << " requests; " << rstats.retries << " retries, "
-              << rstats.fallbacks << " fallbacks, " << rstats.stale_serves
-              << " stale, " << rstats.deadline_hits << " deadline, "
-              << rstats.breaker_rejections << " breaker-rejected ("
-              << rstats.breaker_opens << " opens)\n";
-    if (injector)
-      std::cerr << "faults: " << injector->injected_failures() << " injected"
-                << " of " << injector->decisions() << " decisions (seed "
-                << injector->seed() << ")\n";
   } else {
-    // --- plain batch path --------------------------------------------------
-    std::vector<svc::PredictionResult> results;
-    for (std::size_t pass = 1; pass <= config.passes; ++pass) {
-      const util::Timer timer;
-      results = engine.predict_batch(grid, &pool);
-      std::cerr << "pass " << pass << "/" << config.passes << ": "
-                << grid.size() << " predictions in "
-                << util::fmt(timer.elapsed_ms(), 2) << " ms on "
-                << config.threads << " thread(s)\n";
-    }
-
-    if (config.csv) {
-      std::cout << "server,buy_pct,clients,method,mean_rt_ms,throughput_rps\n";
-      for (std::size_t i = 0; i < grid.size(); ++i)
-        std::cout << grid[i].server << ','
-                  << util::fmt(100.0 * grid[i].workload.buy_fraction(), 1)
-                  << ',' << util::fmt(grid[i].workload.total_clients(), 0)
-                  << ',' << svc::method_name(grid[i].method) << ','
-                  << util::fmt(results[i].mean_rt_s * 1e3, 3) << ','
-                  << util::fmt(results[i].throughput_rps, 3) << '\n';
-    } else {
-      std::vector<std::string> headers{"server", "buy_pct", "clients"};
-      for (const svc::Method method : config.methods)
-        headers.push_back(std::string(svc::method_name(method)) + "_rt_ms");
-      util::Table table(headers);
-      std::size_t cursor = 0;
-      for (const std::string& server : config.servers)
-        for (const double buy_pct : config.buy_pcts)
-          for (const double clients : config.loads) {
-            std::vector<std::string> row{server, util::fmt(buy_pct, 0),
-                                         util::fmt(clients, 0)};
-            for (std::size_t mi = 0; mi < methods; ++mi)
-              row.push_back(util::fmt(results[cursor + mi].mean_rt_s * 1e3, 2));
-            cursor += methods;
-            table.add_row(row);
-          }
-      table.print(std::cout);
-    }
+    resilience.fallback_enabled = false;
+    resilience.serve_stale = false;
+    resilience.breaker_failure_threshold = 0;
+    resilience.max_retries = 0;
   }
+  const svc::ResilientPredictor server_layer(engine, resilience);
+
+  std::vector<svc::Outcome> outcomes;
+  for (std::size_t pass = 1; pass <= config.passes; ++pass) {
+    const util::Timer timer;
+    outcomes = server_layer.predict_batch(grid, &pool,
+                                          config.batch_budget_ms / 1e3);
+    std::cerr << "pass " << pass << "/" << config.passes << ": "
+              << grid.size() << " outcomes in "
+              << util::fmt(timer.elapsed_ms(), 2) << " ms on "
+              << config.threads << " thread(s)\n";
+  }
+
+  if (config.csv) {
+    std::cout << "server,buy_pct,clients,method,status,served_by,fallback,"
+                 "stale,retries,mean_rt_ms,throughput_rps\n";
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      std::cout << grid[i].server << ','
+                << util::fmt(100.0 * grid[i].workload.buy_fraction(), 1)
+                << ',' << util::fmt(grid[i].workload.total_clients(), 0)
+                << ',' << svc::method_name(grid[i].method) << ',';
+      if (outcomes[i].ok()) {
+        const svc::ResilientResult& r = outcomes[i].value();
+        std::cout << "ok," << svc::method_name(r.served_by) << ','
+                  << (r.fallback ? 1 : 0) << ',' << (r.stale ? 1 : 0) << ','
+                  << r.retries << ','
+                  << util::fmt(r.prediction.mean_rt_s * 1e3, 3) << ','
+                  << util::fmt(r.prediction.throughput_rps, 3) << '\n';
+      } else {
+        std::cout << svc::error_code_name(outcomes[i].error().code)
+                  << ",,,,,,\n";
+      }
+    }
+  } else {
+    std::vector<std::string> headers{"server", "buy_pct", "clients"};
+    for (const svc::Method method : config.methods)
+      headers.push_back(std::string(svc::method_name(method)) + "_rt_ms");
+    util::Table table(headers);
+    std::size_t cursor = 0;
+    for (const std::string& server : config.servers)
+      for (const double buy_pct : config.buy_pcts)
+        for (const double clients : config.loads) {
+          std::vector<std::string> row{server, util::fmt(buy_pct, 0),
+                                       util::fmt(clients, 0)};
+          for (std::size_t mi = 0; mi < methods; ++mi) {
+            const svc::Outcome& outcome = outcomes[cursor + mi];
+            if (outcome.ok()) {
+              const svc::ResilientResult& r = outcome.value();
+              std::string cell = util::fmt(r.prediction.mean_rt_s * 1e3, 2);
+              if (r.stale)
+                cell += "*";  // replayed from the stale store
+              else if (r.fallback)
+                cell += "+";  // served by a fallback method
+              row.push_back(cell);
+            } else {
+              row.push_back(
+                  std::string(svc::error_code_name(outcome.error().code)));
+            }
+          }
+          cursor += methods;
+          table.add_row(row);
+        }
+    table.print(std::cout);
+    std::cout << "(+ = fallback method, * = stale replay)\n";
+  }
+
+  const svc::ResilienceStats rstats = server_layer.stats();
+  std::cerr << "resilience: " << rstats.served << " served / "
+            << rstats.errors << " errors of " << rstats.requests
+            << " requests; " << rstats.retries << " retries, "
+            << rstats.fallbacks << " fallbacks, " << rstats.stale_serves
+            << " stale, " << rstats.deadline_hits << " deadline, "
+            << rstats.breaker_rejections << " breaker-rejected ("
+            << rstats.breaker_opens << " opens)\n";
+  if (injector)
+    std::cerr << "faults: " << injector->injected_failures() << " injected"
+              << " of " << injector->decisions() << " decisions (seed "
+              << injector->seed() << ")\n";
 
   const svc::CacheStats stats = engine.cache_stats();
   std::cerr << "cache: " << stats.hits << " hits, " << stats.misses
