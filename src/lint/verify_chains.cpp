@@ -6,8 +6,9 @@
 // (make_predictors registers them all), the historical predictor only
 // servers with a fit in the embedded mean model. A (method, server)
 // request whose whole chain is unavailable can never terminate in a
-// prediction; a single-method chain with circuit breaking armed and the
-// stale store disabled dies with the first open breaker.
+// prediction; a single-method chain with circuit breaking armed and
+// stale replay (from the engine cache) disabled dies with the first open
+// breaker.
 #include "lint/verify.hpp"
 
 #include <array>
@@ -109,7 +110,7 @@ void verify_fallback_chains(const calib::CalibrationBundle& bundle,
             "request (method '" + std::string(method_name(requested)) +
                 "', server '" + server +
                 "') rests on a single viable method (chain " + listing +
-                ") while circuit breaking is armed and the stale store is "
+                ") while circuit breaking is armed and stale replay is "
                 "disabled: one open breaker dead-ends it",
             "enable serve_stale or keep at least two viable methods in "
             "the chain so an open breaker degrades instead of failing");

@@ -364,7 +364,6 @@ void PredictionServer::handle_control(Session& session,
              << " errors=" << resilience.errors
              << " fallbacks=" << resilience.fallbacks
              << " stale_serves=" << resilience.stale_serves
-             << " stale_evictions=" << resilience.stale_evictions
              << " deadline_hits=" << resilience.deadline_hits
              << " breaker_opens=" << resilience.breaker_opens;
       }

@@ -15,7 +15,7 @@ void MetricsCollector::record(const std::string& service_class,
   if (completion_time < warmup_time_) return;
   const double rt = completion_time - issue_time;
   per_class_[service_class].add(rt);
-  all_.add(rt);
+  rt_sum_ += rt;
   ++total_completions_;
 }
 
@@ -31,7 +31,7 @@ void MetricsCollector::record(std::size_t handle, double issue_time,
   if (completion_time < warmup_time_) return;
   const double rt = completion_time - issue_time;
   handles_[handle]->add(rt);
-  all_.add(rt);
+  rt_sum_ += rt;
   ++total_completions_;
 }
 
@@ -47,7 +47,10 @@ double MetricsCollector::mean_response_time(
   return it == per_class_.end() ? 0.0 : it->second.mean();
 }
 
-double MetricsCollector::mean_response_time() const { return all_.mean(); }
+double MetricsCollector::mean_response_time() const {
+  if (total_completions_ == 0) return 0.0;
+  return rt_sum_ / static_cast<double>(total_completions_);
+}
 
 double MetricsCollector::response_time_quantile(
     const std::string& service_class, double q) const {
@@ -56,7 +59,13 @@ double MetricsCollector::response_time_quantile(
 }
 
 double MetricsCollector::response_time_quantile(double q) const {
-  return all_.quantile(q);
+  // The union of the class sets is the multiset of every recorded sample,
+  // so its order statistics are those of one combined set.
+  util::SampleSet merged;
+  merged.reserve(total_completions_);
+  for (const auto& [_, samples] : per_class_)
+    for (const double rt : samples.samples()) merged.add(rt);
+  return merged.quantile(q);
 }
 
 double MetricsCollector::throughput(double now) const {

@@ -55,7 +55,11 @@ class MetricsCollector {
   double warmup_time_;
   std::map<std::string, util::SampleSet> per_class_;  // node-stable
   std::vector<util::SampleSet*> handles_;
-  util::SampleSet all_;
+  // Each sample is stored once, in its class's set. The aggregate mean
+  // keeps a running sum in record order (the same additions as
+  // SampleSet::mean()'s loop over one combined set, so the same bits);
+  // the aggregate quantile sorts the union of the class sets.
+  double rt_sum_ = 0.0;
   std::size_t total_completions_ = 0;
 };
 

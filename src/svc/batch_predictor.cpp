@@ -121,17 +121,21 @@ CacheKey BatchPredictor::cache_key(const PredictionRequest& request) const {
   return key;
 }
 
+std::optional<PredictionResult> BatchPredictor::cached(
+    const PredictionRequest& request) const {
+  const auto hit = cache_.lookup(cache_key(request));
+  if (!hit) return std::nullopt;
+  PredictionResult result;
+  result.mean_rt_s = hit->mean_rt_s;
+  result.throughput_rps = hit->throughput_rps;
+  result.cached = true;
+  return result;
+}
+
 PredictionResult BatchPredictor::predict(
     const PredictionRequest& request) const {
   core::validate_workload(request.workload);
-  const CacheKey key = cache_key(request);
-  if (const auto hit = cache_.lookup(key)) {
-    PredictionResult result;
-    result.mean_rt_s = hit->mean_rt_s;
-    result.throughput_rps = hit->throughput_rps;
-    result.cached = true;
-    return result;
-  }
+  if (std::optional<PredictionResult> hit = cached(request)) return *hit;
 
   const core::Predictor& predictor = predictor_for(request.method);
   if (options_.fault != nullptr &&
@@ -142,7 +146,7 @@ PredictionResult BatchPredictor::predict(
   fresh.mean_rt_s = predictor.predict_mean_rt_s(request.server, workload);
   fresh.throughput_rps =
       predictor.predict_throughput_rps(request.server, workload);
-  cache_.insert(key, fresh);
+  cache_.insert(cache_key(request), fresh);
   PredictionResult result;
   result.mean_rt_s = fresh.mean_rt_s;
   result.throughput_rps = fresh.throughput_rps;

@@ -107,13 +107,14 @@ class BatchPredictor {
       const std::vector<PredictionRequest>& requests,
       util::ThreadPool* pool = nullptr) const;
 
+  /// The memoized answer for a request (flagged cached), or nullopt when
+  /// its quantized key is not in the cache. Counts a hit or a miss; never
+  /// evaluates and never consults the fault injector.
+  std::optional<PredictionResult> cached(
+      const PredictionRequest& request) const;
+
   /// The workload a request is actually evaluated at (the cache-key grid).
   core::WorkloadSpec quantized(const core::WorkloadSpec& workload) const;
-
-  /// The cache key a request quantizes to. Public so resilience layers
-  /// can key auxiliary stores (e.g. stale-result serving) on the exact
-  /// same grid the cache uses.
-  CacheKey cache_key(const PredictionRequest& request) const;
 
   /// The underlying predictor for a method; throws std::invalid_argument
   /// when that method was not supplied.
@@ -125,6 +126,9 @@ class BatchPredictor {
   void clear_cache() { cache_.clear(); }
 
  private:
+  /// The cache key a request quantizes to.
+  CacheKey cache_key(const PredictionRequest& request) const;
+
   const core::Predictor* historical_;
   const core::Predictor* lqn_;
   const core::Predictor* hybrid_;

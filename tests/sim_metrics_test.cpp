@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 namespace epp::sim {
@@ -22,6 +23,27 @@ TEST(Metrics, PerClassAndAggregateMeans) {
   EXPECT_DOUBLE_EQ(m.mean_response_time("a"), 1.0);
   EXPECT_DOUBLE_EQ(m.mean_response_time("b"), 3.0);
   EXPECT_DOUBLE_EQ(m.mean_response_time(), 2.0);
+
+  // Two interleaved classes with rounding-sensitive magnitudes: the
+  // aggregate mean and quantiles must equal, bit for bit, those of one
+  // SampleSet fed the same sequence.
+  MetricsCollector interleaved(0.0);
+  const std::size_t browse = interleaved.class_handle("browse");
+  util::SampleSet reference;
+  for (int i = 0; i < 1000; ++i) {
+    const double issue = 0.37 * i;
+    const double rt = 0.1 * (i % 7) + 1e-3 * std::sqrt(i + 1.0) + 1e-9 * i;
+    if (i % 3 == 0)
+      interleaved.record("buy", issue, issue + rt);
+    else
+      interleaved.record(browse, issue, issue + rt);
+    reference.add((issue + rt) - issue);
+  }
+  EXPECT_EQ(interleaved.total_completions(), reference.count());
+  EXPECT_EQ(interleaved.mean_response_time(), reference.mean());
+  for (const double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0})
+    EXPECT_EQ(interleaved.response_time_quantile(q), reference.quantile(q))
+        << q;
 }
 
 TEST(Metrics, ThroughputUsesMeasuredWindow) {

@@ -595,50 +595,12 @@ TEST(ResilientPredictor, VirtualLatencyDeadlineThenStaleReplay) {
   EXPECT_EQ(cold.error().code, ErrorCode::kDeadlineExceeded);
 }
 
-TEST(ResilientPredictor, StaleStoreIsBoundedAndCountsEvictions) {
-  // Regression: the stale store was unbounded — a long-running daemon
-  // serving distinct workloads grew it without limit. With the bound
-  // armed it must hold at most stale_capacity entries and count what it
-  // dropped.
-  const auto engine = make_engine();
-  ResilienceOptions options;
-  options.stale_capacity = 3;
-  ResilientPredictor resilient(*engine, options);
-  for (int i = 0; i < 10; ++i)
-    ASSERT_TRUE(resilient
-                    .predict({Method::kLqn, "AppServF",
-                              browse_load(100.0 + 50.0 * i)})
-                    .ok())
-        << i;
-  EXPECT_EQ(resilient.stale_size(), 3u);
-  EXPECT_EQ(resilient.stats().stale_evictions, 7u);
-
-  // reset() empties the store and the eviction order alongside it.
-  resilient.reset();
-  EXPECT_EQ(resilient.stale_size(), 0u);
-  EXPECT_EQ(resilient.stats().stale_evictions, 0u);
-}
-
-TEST(ResilientPredictor, ZeroStaleCapacityMeansUnbounded) {
-  const auto engine = make_engine();
-  ResilienceOptions options;
-  options.stale_capacity = 0;
-  const ResilientPredictor resilient(*engine, options);
-  for (int i = 0; i < 10; ++i)
-    ASSERT_TRUE(resilient
-                    .predict({Method::kLqn, "AppServF",
-                              browse_load(100.0 + 50.0 * i)})
-                    .ok())
-        << i;
-  EXPECT_EQ(resilient.stale_size(), 10u);
-  EXPECT_EQ(resilient.stats().stale_evictions, 0u);
-}
-
 TEST(ResilientPredictor, EvictionDropsOldestAndOverwriteRefreshes) {
-  // Re-evaluating a workload refreshes its slot (approximate
-  // LRU-by-write), so the victim is the *least recently written* entry,
-  // and the survivor still replays stale under chaos while the victim
-  // surfaces the typed deadline error.
+  // Stale replay reads the engine cache, so what it can replay is exactly
+  // what the cache's LRU still holds: on a 1-entry cache each fresh
+  // answer evicts the previous one, and re-serving a workload brings its
+  // answer back. Under chaos the answer still cached replays stale while
+  // the evicted one surfaces the typed deadline error.
   FaultConfig config;
   config.lqn.latency_s = 1000.0;  // virtual seconds; nothing sleeps
   FaultInjector injector(config);
@@ -650,34 +612,172 @@ TEST(ResilientPredictor, EvictionDropsOldestAndOverwriteRefreshes) {
   const auto engine = make_engine(batch_options);
   ResilienceOptions options;
   options.deadline_s = 0.050;
-  options.stale_capacity = 2;
   options.fallback_enabled = false;
   const ResilientPredictor resilient(*engine, options);
 
   const PredictionRequest a{Method::kLqn, "AppServF", browse_load(400.0)};
   const PredictionRequest b{Method::kLqn, "AppServF", browse_load(500.0)};
-  const PredictionRequest c{Method::kLqn, "AppServF", browse_load(600.0)};
-  ASSERT_TRUE(resilient.predict(a).ok());  // order: [a]
-  ASSERT_TRUE(resilient.predict(b).ok());  // order: [a, b]
-  ASSERT_TRUE(resilient.predict(c).ok());  // full: evict a -> [b, c]
-  EXPECT_EQ(resilient.stale_size(), 2u);
-  EXPECT_EQ(resilient.stats().stale_evictions, 1u);
-  ASSERT_TRUE(resilient.predict(b).ok());  // refresh: [c, b]
-  EXPECT_EQ(resilient.stale_size(), 2u);
-  EXPECT_EQ(resilient.stats().stale_evictions, 1u)
-      << "an overwrite must refresh in place, not evict";
-  ASSERT_TRUE(resilient.predict(a).ok());  // evict c (b was refreshed)
-  EXPECT_EQ(resilient.stats().stale_evictions, 2u);
+  ASSERT_TRUE(resilient.predict(a).ok());  // cache: [a]
+  ASSERT_TRUE(resilient.predict(b).ok());  // evicts a: [b]
+  const Outcome fresh_a = resilient.predict(a);  // re-evaluated: [a]
+  ASSERT_TRUE(fresh_a.ok());
+  EXPECT_FALSE(fresh_a.value().prediction.cached);
+  EXPECT_EQ(engine->cache_stats().evictions, 2u);
 
-  // Chaos on: b survived the refresh and replays stale; c was evicted
-  // and dies with the typed deadline error.
   injector.set_enabled(true);
-  const Outcome stale_b = resilient.predict(b);
-  ASSERT_TRUE(stale_b.ok());
-  EXPECT_TRUE(stale_b.value().stale);
-  const Outcome cold_c = resilient.predict(c);
-  ASSERT_FALSE(cold_c.ok());
-  EXPECT_EQ(cold_c.error().code, ErrorCode::kDeadlineExceeded);
+  const Outcome stale_a = resilient.predict(a);
+  ASSERT_TRUE(stale_a.ok());
+  EXPECT_TRUE(stale_a.value().stale);
+  EXPECT_EQ(stale_a.value().served_by, Method::kLqn);
+  EXPECT_EQ(stale_a.value().prediction.mean_rt_s,
+            fresh_a.value().prediction.mean_rt_s);
+  const Outcome cold_b = resilient.predict(b);
+  ASSERT_FALSE(cold_b.ok());
+  EXPECT_EQ(cold_b.error().code, ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(resilient.stats().stale_serves, 1u);
+}
+
+TEST(ResilientPredictor, OpenBreakerOnOnlyLinkReplaysCachedAnswer) {
+  FaultInjector injector(failing(Method::kLqn, 1.0));
+  injector.set_enabled(false);
+  BatchOptions batch_options;
+  batch_options.fault = &injector;
+  const auto engine = make_engine(batch_options);
+  ResilienceOptions options;
+  options.max_retries = 0;
+  options.fallback_enabled = false;
+  options.breaker_failure_threshold = 1;
+  options.breaker_cooldown_s = 1000.0;
+  const ResilientPredictor resilient(*engine, options);
+  const PredictionRequest request{Method::kLqn, "AppServF",
+                                  browse_load(500.0)};
+  const Outcome healthy = resilient.predict(request);
+  ASSERT_TRUE(healthy.ok());
+
+  // The failure is forced on a different workload (a cache miss, so the
+  // injector fires) and opens the only link's breaker.
+  injector.set_enabled(true);
+  const Outcome failed = resilient.predict(
+      {Method::kLqn, "AppServF", browse_load(700.0)});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.error().code, ErrorCode::kTransientFailure);
+  ASSERT_EQ(resilient.breaker_state(Method::kLqn, "AppServF"),
+            BreakerState::kOpen);
+
+  // The breaker refuses the earlier workload before the engine sees it;
+  // its answer is still cached and replays, flagged stale.
+  const std::uint64_t decisions_before = injector.decisions();
+  const Outcome stale = resilient.predict(request);
+  ASSERT_TRUE(stale.ok());
+  EXPECT_TRUE(stale.value().stale);
+  EXPECT_EQ(stale.value().served_by, Method::kLqn);
+  EXPECT_FALSE(stale.value().fallback);
+  EXPECT_EQ(stale.value().prediction.mean_rt_s,
+            healthy.value().prediction.mean_rt_s);
+  EXPECT_EQ(stale.value().prediction.throughput_rps,
+            healthy.value().prediction.throughput_rps);
+  EXPECT_EQ(injector.decisions(), decisions_before);
+  EXPECT_EQ(resilient.stats().breaker_rejections, 1u);
+  EXPECT_EQ(resilient.stats().stale_serves, 1u);
+}
+
+TEST(ResilientPredictor, FallbackAnswerReplaysStaleUnderItsMethod) {
+  FaultConfig config;
+  config.lqn.fail_probability = 1.0;
+  config.hybrid.latency_s = 1000.0;  // virtual seconds; nothing sleeps
+  FaultInjector injector(config);
+  BatchOptions batch_options;
+  batch_options.fault = &injector;
+  const auto engine = make_engine(batch_options);
+  ResilienceOptions options;
+  options.max_retries = 0;
+  options.breaker_failure_threshold = 0;
+  const ResilientPredictor resilient(*engine, options);
+  const PredictionRequest request{Method::kLqn, "AppServF",
+                                  browse_load(500.0)};
+
+  // No deadline: lqn faults, hybrid's virtual latency costs nothing, and
+  // hybrid serves as a fallback.
+  const Outcome served = resilient.predict(request);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served.value().served_by, Method::kHybrid);
+  EXPECT_TRUE(served.value().fallback);
+  EXPECT_FALSE(served.value().stale);
+
+  // Under a 50 ms deadline the whole chain fails: lqn still faults and
+  // hybrid's virtual latency blows the deadline. The hybrid answer is
+  // still cached and replays, flagged stale and fallback.
+  const Outcome stale = resilient.predict_with_deadline(request, 0.050);
+  ASSERT_TRUE(stale.ok());
+  EXPECT_TRUE(stale.value().stale);
+  EXPECT_EQ(stale.value().requested, Method::kLqn);
+  EXPECT_EQ(stale.value().served_by, Method::kHybrid);
+  EXPECT_TRUE(stale.value().fallback);
+  EXPECT_EQ(stale.value().prediction.mean_rt_s,
+            served.value().prediction.mean_rt_s);
+  EXPECT_EQ(resilient.stats().deadline_hits, 1u);
+  EXPECT_EQ(resilient.stats().stale_serves, 1u);
+}
+
+TEST(ResilientPredictor, ConcurrentStaleReplayAndEvictionStaySane) {
+  // TSan target: replays read a 2-entry engine cache while other threads
+  // evict from it. Every replay either returns the exact cached answer,
+  // flagged stale, or the typed deadline error once it was evicted.
+  FaultConfig config;
+  config.lqn.latency_s = 1e6;  // virtual seconds: every lqn call times out
+  const FaultInjector injector(config);
+  BatchOptions batch_options;
+  batch_options.fault = &injector;
+  batch_options.cache_capacity_per_shard = 2;
+  batch_options.cache_shards = 1;
+  const auto engine = make_engine(batch_options);
+  ResilienceOptions options;
+  options.deadline_s = 0.050;
+  options.fallback_enabled = false;
+  const ResilientPredictor resilient(*engine, options);
+  const PredictionRequest replayed{Method::kLqn, "AppServF",
+                                   browse_load(500.0)};
+  const PredictionResult reference = engine->predict(replayed);
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 100;
+  std::atomic<int> stale{0}, expired{0}, wrong{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        if (t % 2 == 1) {  // evict with fresh answers for new workloads
+          (void)engine->predict({Method::kHistorical, "AppServF",
+                                 browse_load(100.0 + kRounds * t + round)});
+          continue;
+        }
+        (void)engine->predict(replayed);  // refill; may be evicted again
+        const Outcome outcome = resilient.predict(replayed);
+        if (!outcome.ok()) {
+          (outcome.error().code == ErrorCode::kDeadlineExceeded ? expired
+                                                                : wrong)++;
+        } else if (outcome.value().stale &&
+                   outcome.value().served_by == Method::kLqn &&
+                   outcome.value().prediction.mean_rt_s ==
+                       reference.mean_rt_s &&
+                   outcome.value().prediction.throughput_rps ==
+                       reference.throughput_rps) {
+          ++stale;
+        } else {
+          ++wrong;
+        }
+      }
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  constexpr int kReplays = kThreads / 2 * kRounds;
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(stale.load() + expired.load(), kReplays);
+  const ResilienceStats stats = resilient.stats();
+  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kReplays));
+  EXPECT_EQ(stats.stale_serves, static_cast<std::uint64_t>(stale.load()));
+  EXPECT_EQ(stats.deadline_hits, static_cast<std::uint64_t>(kReplays));
 }
 
 TEST(ResilientPredictor, PredictWithDeadlineOverridesConfiguredDeadline) {

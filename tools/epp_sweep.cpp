@@ -344,7 +344,7 @@ int main(int argc, char** argv) try {
               const svc::ResilientResult& r = outcome.value();
               std::string cell = util::fmt(r.prediction.mean_rt_s * 1e3, 2);
               if (r.stale)
-                cell += "*";  // replayed from the stale store
+                cell += "*";  // replayed from the engine cache
               else if (r.fallback)
                 cell += "+";  // served by a fallback method
               row.push_back(cell);
