@@ -29,37 +29,6 @@ std::vector<MeasuredPoint> measure_sweep(const sim::trade::ServerSpec& server,
   return points;
 }
 
-ReplicatedPoint measure_replicated(const sim::trade::ServerSpec& server,
-                                   double clients, std::size_t replications,
-                                   const SweepOptions& options,
-                                   util::ThreadPool* pool) {
-  if (replications == 0)
-    throw std::invalid_argument("measure_replicated: zero replications");
-  std::vector<MeasuredPoint> runs(replications);
-  auto body = [&](std::size_t i) {
-    SweepOptions opts = options;
-    opts.seed = options.seed + 0x9E37 * (i + 1);  // disjoint streams
-    runs[i] = measure_sweep(server, {clients}, opts, nullptr)[0];
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(replications, body);
-  } else {
-    for (std::size_t i = 0; i < replications; ++i) body(i);
-  }
-  util::OnlineStats rt, p90, x;
-  for (const MeasuredPoint& r : runs) {
-    rt.add(r.mean_rt_s);
-    p90.add(r.p90_rt_s);
-    x.add(r.throughput_rps);
-  }
-  ReplicatedPoint out;
-  out.mean = {clients, rt.mean(), p90.mean(), x.mean()};
-  out.rt_ci95_s = rt.ci95_halfwidth();
-  out.throughput_ci95_rps = x.ci95_halfwidth();
-  out.replications = replications;
-  return out;
-}
-
 std::vector<hydra::DataPoint> to_data_points(
     const std::vector<MeasuredPoint>& points) {
   std::vector<hydra::DataPoint> out;

@@ -38,21 +38,6 @@ std::vector<MeasuredPoint> measure_sweep(const sim::trade::ServerSpec& server,
                                          const SweepOptions& options = {},
                                          util::ThreadPool* pool = nullptr);
 
-/// One load point measured over `replications` independent simulations
-/// (distinct RNG streams), fanned out on `pool`. Returns the across-
-/// replication mean and the 95% confidence half-width of the mean
-/// response time — the measurement-noise floor for accuracy claims.
-struct ReplicatedPoint {
-  MeasuredPoint mean;
-  double rt_ci95_s = 0.0;
-  double throughput_ci95_rps = 0.0;
-  std::size_t replications = 0;
-};
-ReplicatedPoint measure_replicated(const sim::trade::ServerSpec& server,
-                                   double clients, std::size_t replications,
-                                   const SweepOptions& options = {},
-                                   util::ThreadPool* pool = nullptr);
-
 /// Convert measurements to HYDRA data points (ns samples are implicit in
 /// the measurement window).
 std::vector<hydra::DataPoint> to_data_points(

@@ -38,11 +38,6 @@ struct SolverOptions {
   /// Model task thread-pool contention with surrogate multiserver stations
   /// when the pool could constrain throughput.
   bool model_task_contention = true;
-  /// Predictor-level contract: when set, predictors surface a
-  /// non-converged solve as core::SolverDivergedError instead of silently
-  /// returning the clamped last iterate. LayeredSolver::solve itself never
-  /// throws on divergence — it always reports through SolveResult::converged.
-  bool require_convergence = true;
 };
 
 struct ClassPrediction {

@@ -24,14 +24,14 @@ bool ChaosPolicy::reset_on_accept() const noexcept {
   if (config_.accept_reset_p <= 0.0) return false;
   const bool reset = unit_draw(1, accept_reset_draws_) < config_.accept_reset_p;
   if (reset)
-    counters_.accept_resets.fetch_add(1, std::memory_order_relaxed);
+    stats_.accept_resets.add();
   return reset;
 }
 
 double ChaosPolicy::accept_delay_s() const noexcept {
   if (config_.accept_delay_s <= 0.0) return 0.0;
   const double u = unit_draw(2, accept_delay_draws_);
-  counters_.accept_delays.fetch_add(1, std::memory_order_relaxed);
+  stats_.accept_delays.add();
   // Exponential around the mean, capped at 10x so one unlucky draw cannot
   // park a session for minutes.
   return std::min(-config_.accept_delay_s * std::log1p(-u),
@@ -45,11 +45,11 @@ WriteFault ChaosPolicy::next_write_fault() const noexcept {
   // truncate_p-wide band truncates, the rest writes cleanly.
   const double u = unit_draw(3, write_draws_);
   if (u < config_.reset_p) {
-    counters_.write_resets.fetch_add(1, std::memory_order_relaxed);
+    stats_.write_resets.add();
     return WriteFault::kReset;
   }
   if (u < config_.reset_p + config_.truncate_p) {
-    counters_.write_truncates.fetch_add(1, std::memory_order_relaxed);
+    stats_.write_truncates.add();
     return WriteFault::kTruncate;
   }
   return WriteFault::kNone;
@@ -59,20 +59,6 @@ double ChaosPolicy::dribble_pause_s() const noexcept {
   if (config_.dribble_s <= 0.0) return 0.0;
   const double u = unit_draw(4, dribble_draws_);
   return std::min(-config_.dribble_s * std::log1p(-u), 0.050);
-}
-
-ChaosStats ChaosPolicy::stats() const noexcept {
-  ChaosStats stats;
-  stats.accept_resets =
-      counters_.accept_resets.load(std::memory_order_relaxed);
-  stats.accept_delays =
-      counters_.accept_delays.load(std::memory_order_relaxed);
-  stats.write_resets = counters_.write_resets.load(std::memory_order_relaxed);
-  stats.write_truncates =
-      counters_.write_truncates.load(std::memory_order_relaxed);
-  stats.dribbled_writes =
-      counters_.dribbled_writes.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace epp::net

@@ -27,6 +27,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <tuple>
+
+#include "util/counter.hpp"
 
 namespace epp::net {
 
@@ -54,12 +57,20 @@ enum class WriteFault : std::uint8_t {
 /// Injected-fault counters (what actually happened, not the configured
 /// rates). Snapshot via ChaosPolicy::stats().
 struct ChaosStats {
-  std::uint64_t accept_resets = 0;
-  std::uint64_t accept_delays = 0;
-  std::uint64_t write_resets = 0;
-  std::uint64_t write_truncates = 0;
-  std::uint64_t dribbled_writes = 0;
+  util::Counter accept_resets;
+  util::Counter accept_delays;
+  util::Counter write_resets;
+  util::Counter write_truncates;
+  util::Counter dribbled_writes;
+
+  static constexpr std::tuple kFields{
+      util::field("accept_resets", &ChaosStats::accept_resets),
+      util::field("accept_delays", &ChaosStats::accept_delays),
+      util::field("write_resets", &ChaosStats::write_resets),
+      util::field("write_truncates", &ChaosStats::write_truncates),
+      util::field("dribbled_writes", &ChaosStats::dribbled_writes)};
 };
+static_assert(util::lists_every_counter<ChaosStats>());
 
 class ChaosPolicy {
  public:
@@ -80,12 +91,10 @@ class ChaosPolicy {
   double dribble_pause_s() const noexcept;
   /// Count one dribbled frame (the serving layer calls this once per
   /// frame it actually chunked).
-  void count_dribbled_write() const noexcept {
-    counters_.dribbled_writes.fetch_add(1, std::memory_order_relaxed);
-  }
+  void count_dribbled_write() const noexcept { stats_.dribbled_writes.add(); }
 
   const ChaosConfig& config() const noexcept { return config_; }
-  ChaosStats stats() const noexcept;
+  ChaosStats stats() const noexcept { return stats_; }
 
  private:
   /// Uniform [0, 1) as a pure function of (seed, stream, draw#).
@@ -98,13 +107,7 @@ class ChaosPolicy {
   mutable std::atomic<std::uint64_t> accept_delay_draws_{0};
   mutable std::atomic<std::uint64_t> write_draws_{0};
   mutable std::atomic<std::uint64_t> dribble_draws_{0};
-  mutable struct {
-    std::atomic<std::uint64_t> accept_resets{0};
-    std::atomic<std::uint64_t> accept_delays{0};
-    std::atomic<std::uint64_t> write_resets{0};
-    std::atomic<std::uint64_t> write_truncates{0};
-    std::atomic<std::uint64_t> dribbled_writes{0};
-  } counters_;
+  mutable ChaosStats stats_;
 };
 
 }  // namespace epp::net

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 namespace epp::serve {
 
@@ -15,6 +16,10 @@ const char* health_state_name(HealthState state) noexcept {
       return "drifting";
   }
   return "unknown";
+}
+
+std::ostream& operator<<(std::ostream& out, HealthState state) {
+  return out << health_state_name(state);
 }
 
 void DriftDetector::observe(double predicted_rt_s, double observed_rt_s) {

@@ -24,7 +24,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
+#include <tuple>
+
 #include "util/annotations.hpp"
+#include "util/counter.hpp"
 #include "util/lock_rank.hpp"
 
 namespace epp::serve {
@@ -37,6 +41,8 @@ enum class HealthState : std::uint8_t {
 };
 
 const char* health_state_name(HealthState state) noexcept;
+/// Writes health_state_name(state) (how render_kv prints `health=`).
+std::ostream& operator<<(std::ostream& out, HealthState state);
 
 struct DriftOptions {
   /// Slack per observation: mean relative-error shifts below this are
@@ -57,6 +63,14 @@ struct DriftSnapshot {
   double gap_down = 0.0;     // PH gap, pessimistic-model direction
   HealthState state = HealthState::kWarming;
   std::uint64_t trips = 0;   // alarms latched since construction
+
+  static constexpr std::tuple kFields{
+      util::field("health", &DriftSnapshot::state),
+      util::field("drift_observations", &DriftSnapshot::observations),
+      util::field("drift_mean_error", &DriftSnapshot::mean_error),
+      util::field("drift_gap_up", &DriftSnapshot::gap_up),
+      util::field("drift_gap_down", &DriftSnapshot::gap_down),
+      util::field("drift_trips", &DriftSnapshot::trips)};
 };
 
 class DriftDetector {

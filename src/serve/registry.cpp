@@ -21,7 +21,7 @@ PromotionResult BundleRegistry::promote(calib::CalibrationBundle bundle,
                         result.findings);
     if (result.findings.has_errors()) {
       const util::MutexLock lock(mutex_);
-      ++counters_.rejections;
+      stats_.rejections.add();
       result.active_version = active_ != nullptr ? active_->version : 0;
       result.message =
           "candidate '" + source + "' rejected by the EPP-SEM gate (" +
@@ -42,7 +42,7 @@ PromotionResult BundleRegistry::promote(calib::CalibrationBundle bundle,
         *candidate->predictors.batch, options_.resilience);
   } catch (const std::exception& error) {
     const util::MutexLock lock(mutex_);
-    ++counters_.rejections;
+    stats_.rejections.add();
     result.active_version = active_ != nullptr ? active_->version : 0;
     result.message = "candidate '" + source +
                      "' failed predictor construction: " + error.what();
@@ -57,7 +57,7 @@ PromotionResult BundleRegistry::promote(calib::CalibrationBundle bundle,
       history_.erase(history_.begin());
   }
   active_ = std::move(candidate);
-  ++counters_.promotions;
+  stats_.promotions.add();
   result.accepted = true;
   result.active_version = active_->version;
   result.message = "promoted '" + source + "' as version " +
@@ -70,7 +70,7 @@ bool BundleRegistry::rollback() {
   if (history_.empty()) return false;
   active_ = std::move(history_.back());
   history_.pop_back();
-  ++counters_.rollbacks;
+  stats_.rollbacks.add();
   return true;
 }
 
@@ -86,11 +86,9 @@ std::uint64_t BundleRegistry::active_version() const {
 
 RegistryStats BundleRegistry::stats() const {
   const util::MutexLock lock(mutex_);
-  RegistryStats stats;
-  stats.promotions = counters_.promotions;
-  stats.rejections = counters_.rejections;
-  stats.rollbacks = counters_.rollbacks;
-  stats.active_version = active_ != nullptr ? active_->version : 0;
+  RegistryStats stats = stats_;
+  stats.active_version =
+      util::Counter{active_ != nullptr ? active_->version : 0};
   return stats;
 }
 

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "calib/bundle.hpp"
@@ -36,6 +37,7 @@
 #include "lint/verify.hpp"
 #include "svc/resilient.hpp"
 #include "util/annotations.hpp"
+#include "util/counter.hpp"
 #include "util/lock_rank.hpp"
 
 namespace epp::serve {
@@ -76,11 +78,18 @@ struct PromotionResult {
 };
 
 struct RegistryStats {
-  std::uint64_t promotions = 0;   // accepted candidates
-  std::uint64_t rejections = 0;   // gate or construction failures
-  std::uint64_t rollbacks = 0;
-  std::uint64_t active_version = 0;  // 0 = nothing promoted yet
+  util::Counter promotions;      // accepted candidates
+  util::Counter rejections;      // gate or construction failures
+  util::Counter rollbacks;
+  util::Counter active_version;  // 0 = nothing promoted yet; set by stats()
+
+  static constexpr std::tuple kFields{
+      util::field("bundle_version", &RegistryStats::active_version),
+      util::field("promotions", &RegistryStats::promotions),
+      util::field("rejections", &RegistryStats::rejections),
+      util::field("rollbacks", &RegistryStats::rollbacks)};
 };
+static_assert(util::lists_every_counter<RegistryStats>());
 
 class BundleRegistry {
  public:
@@ -119,12 +128,7 @@ class BundleRegistry {
       EPP_GUARDED_BY(mutex_);
   std::uint64_t next_version_ EPP_GUARDED_BY(mutex_) = 1;
 
-  struct Counters {
-    std::uint64_t promotions = 0;
-    std::uint64_t rejections = 0;
-    std::uint64_t rollbacks = 0;
-  };
-  mutable Counters counters_ EPP_GUARDED_BY(mutex_);
+  RegistryStats stats_ EPP_GUARDED_BY(mutex_);
 };
 
 }  // namespace epp::serve

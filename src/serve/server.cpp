@@ -111,10 +111,10 @@ void PredictionServer::accept_loop() {
     }
     if (open_sessions_.load(std::memory_order_acquire) >=
         options_.max_connections) {
-      counters_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
+      stats_.connections_rejected.add();
       continue;  // socket closes as `accepted` goes out of scope
     }
-    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    stats_.connections_accepted.add();
     auto session = std::make_shared<Session>();
     session->socket = std::move(*accepted);
     auto done = std::make_shared<std::atomic<bool>>(false);
@@ -169,20 +169,20 @@ void PredictionServer::session_loop(SessionPtr session) {
     try {
       got = net::read_frame(session->socket, payload);
     } catch (const net::SocketTimeout&) {
-      counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
+      stats_.idle_closes.add();
       break;  // silent client; reclaim the reader thread
     } catch (const std::exception&) {
-      counters_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+      stats_.bad_frames.add();
       break;  // framing is lost; the only safe move is to close
     }
     if (!got) break;  // peer closed
-    counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
+    stats_.frames_received.add();
 
     net::RequestMessage request;
     try {
       request = net::decode_request(payload);
     } catch (const net::FrameError& error) {
-      counters_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+      stats_.bad_frames.add();
       write_response(*session, error_response(0, svc::ErrorCode::kInternal,
                                               error.what()));
       break;  // desynchronized stream; close
@@ -220,20 +220,15 @@ void PredictionServer::session_loop(SessionPtr session) {
       if (queue_.size() < options_.queue_capacity) {
         queue_.push_back(
             WorkItem{session, std::move(request), std::move(pinned)});
-        const std::size_t depth = queue_.size();
-        std::size_t peak = counters_.queue_peak.load(std::memory_order_relaxed);
-        while (depth > peak &&
-               !counters_.queue_peak.compare_exchange_weak(
-                   peak, depth, std::memory_order_relaxed)) {
-        }
+        stats_.queue_peak.raise_to(queue_.size());
         admitted = true;
       }
     }
     if (admitted) {
-      counters_.requests_enqueued.fetch_add(1, std::memory_order_relaxed);
+      stats_.requests_enqueued.add();
       queue_cv_.notify_one();
     } else {
-      counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+      stats_.requests_shed.add();
       write_response(*session,
                      error_response(request.id, svc::ErrorCode::kOverloaded,
                                     "dispatch queue full (" +
@@ -269,7 +264,7 @@ void PredictionServer::worker_loop() {
     }
     response.health = static_cast<std::uint8_t>(drift_.state());
     write_response(*item.session, response);
-    counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
+    stats_.requests_served.add();
   }
 }
 
@@ -338,46 +333,9 @@ void PredictionServer::handle_control(Session& session,
   switch (request.kind) {
     case net::MessageKind::kPing:
       break;  // an empty ok response is the pong
-    case net::MessageKind::kStats: {
-      const ServerStats server_stats = stats();
-      const RegistryStats registry_stats = registry_.stats();
-      const DriftSnapshot drift_stats = drift_.snapshot();
-      std::ostringstream text;
-      text << "connections_accepted=" << server_stats.connections_accepted
-           << " requests_enqueued=" << server_stats.requests_enqueued
-           << " requests_served=" << server_stats.requests_served
-           << " requests_shed=" << server_stats.requests_shed
-           << " queue_depth=" << server_stats.queue_depth
-           << " queue_peak=" << server_stats.queue_peak
-           << " open_sessions=" << server_stats.open_sessions
-           << " idle_closes=" << server_stats.idle_closes
-           << " bundle_version=" << registry_stats.active_version
-           << " promotions=" << registry_stats.promotions
-           << " rejections=" << registry_stats.rejections
-           << " rollbacks=" << registry_stats.rollbacks
-           << " health=" << health_state_name(drift_stats.state)
-           << " drift_observations=" << drift_stats.observations
-           << " drift_trips=" << drift_stats.trips;
-      if (const auto active = registry_.active(); active != nullptr) {
-        const svc::ResilienceStats resilience = active->resilient->stats();
-        text << " served=" << resilience.served
-             << " errors=" << resilience.errors
-             << " fallbacks=" << resilience.fallbacks
-             << " stale_serves=" << resilience.stale_serves
-             << " deadline_hits=" << resilience.deadline_hits
-             << " breaker_opens=" << resilience.breaker_opens;
-      }
-      if (options_.chaos != nullptr) {
-        const net::ChaosStats chaos = options_.chaos->stats();
-        text << " chaos_accept_resets=" << chaos.accept_resets
-             << " chaos_accept_delays=" << chaos.accept_delays
-             << " chaos_write_resets=" << chaos.write_resets
-             << " chaos_write_truncates=" << chaos.write_truncates
-             << " chaos_dribbled_writes=" << chaos.dribbled_writes;
-      }
-      response.detail = text.str();
+    case net::MessageKind::kStats:
+      response.detail = stats_text();
       break;
-    }
     case net::MessageKind::kReload: {
       ReloadStatus reload;
       if (!options_.reload_handler) {
@@ -391,12 +349,12 @@ void PredictionServer::handle_control(Session& session,
         }
       }
       if (reload.ok) {
-        counters_.reloads_ok.fetch_add(1, std::memory_order_relaxed);
+        stats_.reloads_ok.add();
         // The promotion (or rollback) may have changed the active
         // version; the drift history belongs to the old one.
         drift_track_version(registry_.active_version());
       } else {
-        counters_.reloads_failed.fetch_add(1, std::memory_order_relaxed);
+        stats_.reloads_failed.add();
         response.status = 1;
         response.error_code =
             static_cast<std::uint8_t>(svc::ErrorCode::kInternal);
@@ -420,7 +378,7 @@ void PredictionServer::handle_control(Session& session,
 void PredictionServer::write_response(Session& session,
                                       const net::ResponseMessage& response) {
   if (session.dead.load(std::memory_order_acquire)) {
-    counters_.responses_dropped.fetch_add(1, std::memory_order_relaxed);
+    stats_.responses_dropped.add();
     return;
   }
   const std::vector<std::uint8_t> payload = net::encode_response(response);
@@ -467,38 +425,37 @@ void PredictionServer::write_response(Session& session,
   }
   if (!wrote) {
     session.dead.store(true, std::memory_order_release);
-    counters_.responses_dropped.fetch_add(1, std::memory_order_relaxed);
+    stats_.responses_dropped.add();
   }
 }
 
 ServerStats PredictionServer::stats() const {
-  ServerStats stats;
-  stats.connections_accepted =
-      counters_.connections_accepted.load(std::memory_order_relaxed);
-  stats.connections_rejected =
-      counters_.connections_rejected.load(std::memory_order_relaxed);
-  stats.frames_received =
-      counters_.frames_received.load(std::memory_order_relaxed);
-  stats.requests_enqueued =
-      counters_.requests_enqueued.load(std::memory_order_relaxed);
-  stats.requests_served =
-      counters_.requests_served.load(std::memory_order_relaxed);
-  stats.requests_shed =
-      counters_.requests_shed.load(std::memory_order_relaxed);
-  stats.bad_frames = counters_.bad_frames.load(std::memory_order_relaxed);
-  stats.responses_dropped =
-      counters_.responses_dropped.load(std::memory_order_relaxed);
-  stats.idle_closes = counters_.idle_closes.load(std::memory_order_relaxed);
-  stats.reloads_ok = counters_.reloads_ok.load(std::memory_order_relaxed);
-  stats.reloads_failed =
-      counters_.reloads_failed.load(std::memory_order_relaxed);
+  ServerStats stats = stats_;
   {
     const std::lock_guard lock(queue_mutex_);
-    stats.queue_depth = queue_.size();
+    stats.queue_depth = util::Counter{queue_.size()};
   }
-  stats.queue_peak = counters_.queue_peak.load(std::memory_order_relaxed);
-  stats.open_sessions = open_sessions_.load(std::memory_order_acquire);
+  stats.open_sessions =
+      util::Counter{open_sessions_.load(std::memory_order_acquire)};
   return stats;
+}
+
+std::string PredictionServer::stats_text() const {
+  std::ostringstream text;
+  util::render_kv(text, stats());
+  text << ' ';
+  util::render_kv(text, registry_.stats());
+  text << ' ';
+  util::render_kv(text, drift_.snapshot());
+  if (const auto active = registry_.active(); active != nullptr) {
+    text << ' ';
+    util::render_kv(text, active->resilient->stats());
+  }
+  if (options_.chaos != nullptr) {
+    text << ' ';
+    util::render_kv(text, options_.chaos->stats(), "chaos_");
+  }
+  return text.str();
 }
 
 }  // namespace epp::serve

@@ -57,6 +57,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "net/chaos.hpp"
@@ -65,6 +66,7 @@
 #include "serve/drift.hpp"
 #include "serve/registry.hpp"
 #include "util/annotations.hpp"
+#include "util/counter.hpp"
 #include "util/lock_rank.hpp"
 
 namespace epp::serve {
@@ -107,23 +109,41 @@ struct ServerOptions {
   double worker_delay_s = 0.0;
 };
 
-/// Counters since start(). Queue depth is instantaneous.
+/// Counters since start(). queue_depth and open_sessions are
+/// instantaneous, filled in by stats().
 struct ServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_rejected = 0;  // over max_connections
-  std::uint64_t frames_received = 0;
-  std::uint64_t requests_enqueued = 0;
-  std::uint64_t requests_served = 0;   // responses written by workers
-  std::uint64_t requests_shed = 0;     // kOverloaded at admission
-  std::uint64_t bad_frames = 0;        // undecodable payloads
-  std::uint64_t responses_dropped = 0; // peer gone before the write
-  std::uint64_t idle_closes = 0;       // sessions closed by idle timeout
-  std::uint64_t reloads_ok = 0;        // kReload frames that promoted
-  std::uint64_t reloads_failed = 0;
-  std::size_t queue_depth = 0;
-  std::size_t queue_peak = 0;
-  std::size_t open_sessions = 0;
+  util::Counter connections_accepted;
+  util::Counter connections_rejected;  // over max_connections
+  util::Counter frames_received;
+  util::Counter requests_enqueued;
+  util::Counter requests_served;    // responses written by workers
+  util::Counter requests_shed;      // kOverloaded at admission
+  util::Counter bad_frames;         // undecodable payloads
+  util::Counter responses_dropped;  // peer gone before the write
+  util::Counter idle_closes;        // sessions closed by idle timeout
+  util::Counter reloads_ok;         // kReload frames that promoted
+  util::Counter reloads_failed;
+  util::Counter queue_depth;
+  util::Counter queue_peak;
+  util::Counter open_sessions;
+
+  static constexpr std::tuple kFields{
+      util::field("connections_accepted", &ServerStats::connections_accepted),
+      util::field("connections_rejected", &ServerStats::connections_rejected),
+      util::field("frames_received", &ServerStats::frames_received),
+      util::field("requests_enqueued", &ServerStats::requests_enqueued),
+      util::field("requests_served", &ServerStats::requests_served),
+      util::field("requests_shed", &ServerStats::requests_shed),
+      util::field("bad_frames", &ServerStats::bad_frames),
+      util::field("responses_dropped", &ServerStats::responses_dropped),
+      util::field("idle_closes", &ServerStats::idle_closes),
+      util::field("reloads_ok", &ServerStats::reloads_ok),
+      util::field("reloads_failed", &ServerStats::reloads_failed),
+      util::field("queue_depth", &ServerStats::queue_depth),
+      util::field("queue_peak", &ServerStats::queue_peak),
+      util::field("open_sessions", &ServerStats::open_sessions)};
 };
+static_assert(util::lists_every_counter<ServerStats>());
 
 class PredictionServer {
  public:
@@ -160,6 +180,11 @@ class PredictionServer {
   void stop();
 
   ServerStats stats() const;
+  /// The kStats frame text: space-separated `name=value` tokens for the
+  /// server, registry and drift stats, then the active version's
+  /// resilience stats and, when chaos is armed, `chaos_`-prefixed chaos
+  /// stats. epp_serve prints the same text when it exits.
+  std::string stats_text() const;
   /// Drift state over the active version's observations.
   DriftSnapshot drift() const { return drift_.snapshot(); }
   BundleRegistry& registry() noexcept { return registry_; }
@@ -230,21 +255,7 @@ class PredictionServer {
   util::RankedMutex lifecycle_mutex_{  // serializes wait()/stop() callers
       EPP_LOCK_RANK(10), "serve.server.lifecycle"};
 
-  struct Counters {
-    std::atomic<std::uint64_t> connections_accepted{0};
-    std::atomic<std::uint64_t> connections_rejected{0};
-    std::atomic<std::uint64_t> frames_received{0};
-    std::atomic<std::uint64_t> requests_enqueued{0};
-    std::atomic<std::uint64_t> requests_served{0};
-    std::atomic<std::uint64_t> requests_shed{0};
-    std::atomic<std::uint64_t> bad_frames{0};
-    std::atomic<std::uint64_t> responses_dropped{0};
-    std::atomic<std::uint64_t> idle_closes{0};
-    std::atomic<std::uint64_t> reloads_ok{0};
-    std::atomic<std::uint64_t> reloads_failed{0};
-    std::atomic<std::size_t> queue_peak{0};
-  };
-  mutable Counters counters_;
+  ServerStats stats_;
 };
 
 }  // namespace epp::serve

@@ -68,10 +68,10 @@ std::optional<CachedPrediction> PredictionCache::lookup(const CacheKey& key) {
   const util::MutexLock lock(shard.mutex);
   const auto it = shard.index_.find(key);
   if (it == shard.index_.end()) {
-    ++shard.misses_;
+    shard.counts.misses.add();
     return std::nullopt;
   }
-  ++shard.hits_;
+  shard.counts.hits.add();
   shard.lru_.splice(shard.lru_.begin(), shard.lru_, it->second);
   return it->second->second;
 }
@@ -90,7 +90,7 @@ void PredictionCache::insert(const CacheKey& key,
   if (shard.lru_.size() >= capacity_per_shard_) {
     shard.index_.erase(shard.lru_.back().first);
     shard.lru_.pop_back();
-    ++shard.evictions_;
+    shard.counts.evictions.add();
   }
   shard.lru_.emplace_front(key, value);
   shard.index_.emplace(key, shard.lru_.begin());
@@ -100,10 +100,8 @@ CacheStats PredictionCache::stats() const {
   CacheStats total;
   for (const auto& shard : shards_) {
     const util::MutexLock lock(shard->mutex);
-    total.hits += shard->hits_;
-    total.misses += shard->misses_;
-    total.evictions += shard->evictions_;
-    total.entries += shard->lru_.size();
+    util::merge(total, shard->counts);
+    total.entries.add(shard->lru_.size());
   }
   return total;
 }
@@ -113,7 +111,7 @@ void PredictionCache::clear() {
     const util::MutexLock lock(shard->mutex);
     shard->lru_.clear();
     shard->index_.clear();
-    shard->hits_ = shard->misses_ = shard->evictions_ = 0;
+    shard->counts = {};
   }
 }
 

@@ -22,11 +22,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "util/annotations.hpp"
+#include "util/counter.hpp"
 #include "util/lock_rank.hpp"
 
 namespace epp::svc {
@@ -62,10 +64,16 @@ struct CachedPrediction {
 };
 
 struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
+  util::Counter hits;
+  util::Counter misses;
+  util::Counter evictions;
+  util::Counter entries;  // instantaneous, filled by stats()
+
+  static constexpr std::tuple kFields{
+      util::field("hits", &CacheStats::hits),
+      util::field("misses", &CacheStats::misses),
+      util::field("evictions", &CacheStats::evictions),
+      util::field("entries", &CacheStats::entries)};
 
   double hit_ratio() const noexcept {
     const std::uint64_t total = hits + misses;
@@ -73,6 +81,7 @@ struct CacheStats {
                      : 0.0;
   }
 };
+static_assert(util::lists_every_counter<CacheStats>());
 
 class PredictionCache {
  public:
@@ -92,7 +101,6 @@ class PredictionCache {
   /// Drop all entries and reset the counters.
   void clear();
 
-  std::size_t shard_count() const noexcept { return shards_.size(); }
   std::size_t capacity() const noexcept {
     return capacity_per_shard_ * shards_.size();
   }
@@ -104,9 +112,7 @@ class PredictionCache {
     LruList lru_ EPP_GUARDED_BY(mutex);  // front = most recently used
     std::unordered_map<CacheKey, LruList::iterator, CacheKeyHash> index_
         EPP_GUARDED_BY(mutex);
-    std::uint64_t hits_ EPP_GUARDED_BY(mutex) = 0;
-    std::uint64_t misses_ EPP_GUARDED_BY(mutex) = 0;
-    std::uint64_t evictions_ EPP_GUARDED_BY(mutex) = 0;
+    CacheStats counts EPP_GUARDED_BY(mutex);  // entries stays 0
   };
 
   Shard& shard_for(const CacheKey& key);

@@ -72,18 +72,6 @@ std::string PredictionError::to_string() const {
          std::string(method_name(method)) + "/" + server + "]: " + detail;
 }
 
-std::string_view breaker_state_name(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 ResilientPredictor::ResilientPredictor(const BatchPredictor& engine,
                                        ResilienceOptions options)
     : engine_(engine), options_(options) {
@@ -158,7 +146,7 @@ void ResilientPredictor::breaker_failure(Breaker& breaker) const {
     breaker.state.store(static_cast<int>(BreakerState::kOpen),
                         std::memory_order_release);
     breaker.probe_in_flight.store(false, std::memory_order_release);
-    counters_.breaker_opens.fetch_add(1, std::memory_order_relaxed);
+    stats_.breaker_opens.add();
     return;
   }
   const int failures =
@@ -170,7 +158,7 @@ void ResilientPredictor::breaker_failure(Breaker& breaker) const {
             expected, static_cast<int>(BreakerState::kOpen),
             std::memory_order_acq_rel)) {
       breaker.opened_at_ns.store(now_ns(), std::memory_order_release);
-      counters_.breaker_opens.fetch_add(1, std::memory_order_relaxed);
+      stats_.breaker_opens.add();
     }
   }
 }
@@ -206,14 +194,14 @@ Outcome ResilientPredictor::predict_with_deadline(
 
 Outcome ResilientPredictor::serve(const PredictionRequest& request,
                                   const util::CancellationToken* budget) const {
-  counters_.requests.fetch_add(1, std::memory_order_relaxed);
+  stats_.requests.add();
 
   // Reject malformed workloads before they can touch breakers, retries or
   // the fallback chain — they are invalid for every method alike.
   try {
     core::validate_workload(request.workload);
   } catch (const core::InvalidWorkloadError& error) {
-    counters_.errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.errors.add();
     return PredictionError{ErrorCode::kInvalidWorkload, request.method,
                            request.server, error.what()};
   }
@@ -264,7 +252,7 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
     // first breaker-worthy failure.
     Breaker* breaker = breaker_lookup(method, request.server);
     if (breaker != nullptr && !breaker_admit(*breaker)) {
-      counters_.breaker_rejections.fetch_add(1, std::memory_order_relaxed);
+      stats_.breaker_rejections.add();
       if (!primary_error)
         primary_error = PredictionError{
             ErrorCode::kCircuitOpen, method, request.server,
@@ -310,9 +298,9 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
         result.fallback = ci > 0;
         result.retries = total_retries;
         if (track_time) result.latency_s = seconds_since(start) + virtual_s;
-        counters_.served.fetch_add(1, std::memory_order_relaxed);
+        stats_.served.add();
         if (result.fallback)
-          counters_.fallbacks.fetch_add(1, std::memory_order_relaxed);
+          stats_.fallbacks.add();
         return result;
       } catch (const std::exception& caught) {
         error = PredictionError{classify_active_exception(), method,
@@ -336,7 +324,7 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
 
       if (is_retryable(error.code) && attempt < options_.max_retries) {
         ++total_retries;
-        counters_.retries.fetch_add(1, std::memory_order_relaxed);
+        stats_.retries.add();
         const double backoff = next_backoff_s(attempt);
         if (backoff > 0.0) {
           const double nap =
@@ -350,7 +338,7 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
     }
   }
 
-  if (deadline_hit) counters_.deadline_hits.fetch_add(1, std::memory_order_relaxed);
+  if (deadline_hit) stats_.deadline_hits.add();
 
   // Last resort: replay the first chain method whose answer for this
   // quantized request the engine still caches, clearly flagged. The chain
@@ -370,13 +358,13 @@ Outcome ResilientPredictor::serve(const PredictionRequest& request,
       result.stale = true;
       result.retries = total_retries;
       if (track_time) result.latency_s = seconds_since(start) + virtual_s;
-      counters_.served.fetch_add(1, std::memory_order_relaxed);
-      counters_.stale_serves.fetch_add(1, std::memory_order_relaxed);
+      stats_.served.add();
+      stats_.stale_serves.add();
       return result;
     }
   }
 
-  counters_.errors.fetch_add(1, std::memory_order_relaxed);
+  stats_.errors.add();
   if (deadline_hit)
     return PredictionError{ErrorCode::kDeadlineExceeded, request.method,
                            request.server,
@@ -419,9 +407,9 @@ std::vector<Outcome> ResilientPredictor::predict_batch(
       continue;
     }
     // Never started: the batch budget expired first.
-    counters_.requests.fetch_add(1, std::memory_order_relaxed);
-    counters_.deadline_hits.fetch_add(1, std::memory_order_relaxed);
-    counters_.errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.requests.add();
+    stats_.deadline_hits.add();
+    stats_.errors.add();
     outcomes.push_back(PredictionError{
         ErrorCode::kDeadlineExceeded, requests[i].method, requests[i].server,
         "batch budget exhausted before the request started"});
@@ -432,12 +420,12 @@ std::vector<Outcome> ResilientPredictor::predict_batch(
 CapacityOutcome ResilientPredictor::max_clients_for_goal(
     Method method, const std::string& server, double goal_s,
     double buy_fraction, double think_time_s) const {
-  counters_.requests.fetch_add(1, std::memory_order_relaxed);
+  stats_.requests.add();
 
   Breaker* breaker = breaker_lookup(method, server);
   if (breaker != nullptr && !breaker_admit(*breaker)) {
-    counters_.breaker_rejections.fetch_add(1, std::memory_order_relaxed);
-    counters_.errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.breaker_rejections.add();
+    stats_.errors.add();
     return PredictionError{ErrorCode::kCircuitOpen, method, server,
                            "circuit open for capacity probe"};
   }
@@ -454,13 +442,13 @@ CapacityOutcome ResilientPredictor::max_clients_for_goal(
           server, goal_s, buy_fraction, think_time_s);
     }
     if (breaker != nullptr) breaker_success(*breaker);
-    counters_.served.fetch_add(1, std::memory_order_relaxed);
+    stats_.served.add();
     return result;
   } catch (const std::exception& caught) {
     const PredictionError error{classify_active_exception(), method, server,
                                 caught.what()};
     if (error.code == ErrorCode::kDeadlineExceeded) {
-      counters_.deadline_hits.fetch_add(1, std::memory_order_relaxed);
+      stats_.deadline_hits.add();
       if (breaker != nullptr) breaker_release(*breaker);
     } else if (trips_breaker(error.code) &&
                options_.breaker_failure_threshold != 0) {
@@ -469,7 +457,7 @@ CapacityOutcome ResilientPredictor::max_clients_for_goal(
     } else if (breaker != nullptr) {
       breaker_release(*breaker);
     }
-    counters_.errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.errors.add();
     return error;
   }
 }
@@ -484,36 +472,13 @@ BreakerState ResilientPredictor::breaker_state(
       it->second->state.load(std::memory_order_acquire));
 }
 
-ResilienceStats ResilientPredictor::stats() const {
-  ResilienceStats stats;
-  stats.requests = counters_.requests.load(std::memory_order_relaxed);
-  stats.served = counters_.served.load(std::memory_order_relaxed);
-  stats.errors = counters_.errors.load(std::memory_order_relaxed);
-  stats.retries = counters_.retries.load(std::memory_order_relaxed);
-  stats.fallbacks = counters_.fallbacks.load(std::memory_order_relaxed);
-  stats.stale_serves = counters_.stale_serves.load(std::memory_order_relaxed);
-  stats.deadline_hits = counters_.deadline_hits.load(std::memory_order_relaxed);
-  stats.breaker_rejections =
-      counters_.breaker_rejections.load(std::memory_order_relaxed);
-  stats.breaker_opens = counters_.breaker_opens.load(std::memory_order_relaxed);
-  return stats;
-}
-
 void ResilientPredictor::reset() {
   {
     const std::unique_lock lock(breaker_mutex_);
     breakers_.clear();
     breakers_created_.store(0, std::memory_order_release);
   }
-  counters_.requests.store(0, std::memory_order_relaxed);
-  counters_.served.store(0, std::memory_order_relaxed);
-  counters_.errors.store(0, std::memory_order_relaxed);
-  counters_.retries.store(0, std::memory_order_relaxed);
-  counters_.fallbacks.store(0, std::memory_order_relaxed);
-  counters_.stale_serves.store(0, std::memory_order_relaxed);
-  counters_.deadline_hits.store(0, std::memory_order_relaxed);
-  counters_.breaker_rejections.store(0, std::memory_order_relaxed);
-  counters_.breaker_opens.store(0, std::memory_order_relaxed);
+  stats_ = {};
 }
 
 }  // namespace epp::svc

@@ -37,7 +37,7 @@
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
-#include <string_view>
+#include <tuple>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -46,6 +46,7 @@
 #include "svc/batch_predictor.hpp"
 #include "util/annotations.hpp"
 #include "util/cancellation.hpp"
+#include "util/counter.hpp"
 #include "util/lock_rank.hpp"
 #include "util/thread_pool.hpp"
 
@@ -107,8 +108,6 @@ using CapacityOutcome = Expected<core::CapacityResult>;
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-std::string_view breaker_state_name(BreakerState state);
-
 struct ResilienceOptions {
   /// Per-request deadline in seconds; 0 disables (and removes all clock
   /// reads from the serving path).
@@ -136,16 +135,28 @@ struct ResilienceOptions {
 
 /// Aggregate counters since construction (or reset()).
 struct ResilienceStats {
-  std::uint64_t requests = 0;
-  std::uint64_t served = 0;
-  std::uint64_t errors = 0;           // outcomes returned as errors
-  std::uint64_t retries = 0;
-  std::uint64_t fallbacks = 0;        // served by a non-requested method
-  std::uint64_t stale_serves = 0;
-  std::uint64_t deadline_hits = 0;
-  std::uint64_t breaker_rejections = 0;  // calls refused while open
-  std::uint64_t breaker_opens = 0;       // closed/half-open -> open edges
+  util::Counter requests;
+  util::Counter served;
+  util::Counter errors;              // outcomes returned as errors
+  util::Counter retries;
+  util::Counter fallbacks;           // served by a non-requested method
+  util::Counter stale_serves;
+  util::Counter deadline_hits;
+  util::Counter breaker_rejections;  // calls refused while open
+  util::Counter breaker_opens;       // closed/half-open -> open edges
+
+  static constexpr std::tuple kFields{
+      util::field("requests", &ResilienceStats::requests),
+      util::field("served", &ResilienceStats::served),
+      util::field("errors", &ResilienceStats::errors),
+      util::field("retries", &ResilienceStats::retries),
+      util::field("fallbacks", &ResilienceStats::fallbacks),
+      util::field("stale_serves", &ResilienceStats::stale_serves),
+      util::field("deadline_hits", &ResilienceStats::deadline_hits),
+      util::field("breaker_rejections", &ResilienceStats::breaker_rejections),
+      util::field("breaker_opens", &ResilienceStats::breaker_opens)};
 };
+static_assert(util::lists_every_counter<ResilienceStats>());
 
 class ResilientPredictor {
  public:
@@ -186,7 +197,7 @@ class ResilientPredictor {
   /// pair has never failed).
   BreakerState breaker_state(Method method, const std::string& server) const;
 
-  ResilienceStats stats() const;
+  ResilienceStats stats() const { return stats_; }
   /// Drop breakers and counters. Stale answers live in the engine's cache
   /// and survive reset().
   void reset();
@@ -232,18 +243,7 @@ class ResilientPredictor {
 
   mutable std::atomic<std::uint64_t> jitter_counter_{0};
 
-  struct Counters {
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> served{0};
-    std::atomic<std::uint64_t> errors{0};
-    std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> fallbacks{0};
-    std::atomic<std::uint64_t> stale_serves{0};
-    std::atomic<std::uint64_t> deadline_hits{0};
-    std::atomic<std::uint64_t> breaker_rejections{0};
-    std::atomic<std::uint64_t> breaker_opens{0};
-  };
-  mutable Counters counters_;
+  mutable ResilienceStats stats_;
 };
 
 }  // namespace epp::svc

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "util/thread_pool.hpp"
 
 namespace epp::core {
@@ -41,29 +39,6 @@ TEST(Evaluation, DataPointConversions) {
   EXPECT_DOUBLE_EQ(mean_points[0].metric_s, 0.01);
   const auto p90_points = to_p90_data_points(points);
   EXPECT_DOUBLE_EQ(p90_points[0].metric_s, 0.02);
-}
-
-TEST(Evaluation, ReplicatedMeasurementTightensUncertainty) {
-  util::ThreadPool pool(4);
-  const SweepOptions options{0.0, 10.0, 25.0, 9};
-  const ReplicatedPoint few = measure_replicated(sim::trade::app_serv_f(),
-                                                 300.0, 3, options, &pool);
-  const ReplicatedPoint many = measure_replicated(sim::trade::app_serv_f(),
-                                                  300.0, 10, options, &pool);
-  EXPECT_EQ(few.replications, 3u);
-  EXPECT_EQ(many.replications, 10u);
-  EXPECT_GT(few.rt_ci95_s, 0.0);
-  // More replications shrink the confidence interval (usually ~1/sqrt(n);
-  // allow slack for the small sample count).
-  EXPECT_LT(many.rt_ci95_s, few.rt_ci95_s * 1.5);
-  EXPECT_NEAR(many.mean.mean_rt_s, few.mean.mean_rt_s,
-              5.0 * (few.rt_ci95_s + many.rt_ci95_s));
-  EXPECT_NEAR(many.mean.throughput_rps, 300.0 / 7.05, 1.5);
-}
-
-TEST(Evaluation, ReplicatedRejectsZeroReplications) {
-  EXPECT_THROW(measure_replicated(sim::trade::app_serv_f(), 100.0, 0),
-               std::invalid_argument);
 }
 
 TEST(Evaluation, AccuracyAgainstEmptyIsPerfect) {

@@ -18,16 +18,22 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "calib/bundle.hpp"
+#include "net/chaos.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "serve/registry.hpp"
 #include "svc/resilient.hpp"
+#include "util/counter.hpp"
 
 namespace epp::serve {
 namespace {
@@ -338,6 +344,108 @@ TEST(PredictionServer, PingAndStatsAnswerInline) {
   EXPECT_NE(reply->detail.find("health="), std::string::npos) << reply->detail;
   EXPECT_NE(reply->detail.find("idle_closes="), std::string::npos)
       << reply->detail;
+}
+
+/// The kStats text as key -> value; a key that appears twice fails.
+std::map<std::string, std::string> parse_stats(const std::string& text) {
+  std::map<std::string, std::string> kv;
+  std::istringstream tokens(text);
+  std::string token;
+  while (tokens >> token) {
+    const std::size_t eq = token.find('=');
+    if (eq == std::string::npos) {
+      ADD_FAILURE() << "token without '=': " << token;
+      continue;
+    }
+    EXPECT_TRUE(kv.emplace(token.substr(0, eq), token.substr(eq + 1)).second)
+        << "repeated key in: " << token;
+  }
+  return kv;
+}
+
+/// Every field of `stats` appears under its table name with the value
+/// the struct holds.
+template <typename S>
+void expect_rendered(const std::map<std::string, std::string>& kv,
+                     const S& stats, const std::string& prefix = "") {
+  util::for_each_field(stats, [&](std::string_view name, const auto& value) {
+    const std::string key = prefix + std::string(name);
+    std::ostringstream expected;
+    expected << value;
+    const auto it = kv.find(key);
+    ASSERT_NE(it, kv.end()) << "missing key " << key;
+    EXPECT_EQ(it->second, expected.str()) << key;
+  });
+}
+
+TEST(PredictionServer, StatsFrameKeysAreUniqueAndMatchTheStats) {
+  net::ChaosConfig chaos_config;
+  chaos_config.accept_delay_s = 0.001;  // arms chaos; counts one delay
+  const net::ChaosPolicy chaos(chaos_config);
+  ServerOptions options;
+  options.chaos = &chaos;
+  ServerFixture fixture(options);
+  net::Socket client = fixture.connect();
+  send(client, predict_request(1, Method::kLqn, "AppServF", 300.0));
+  ASSERT_TRUE(receive(client).has_value());
+  // The worker counts the request after writing its response; wait for
+  // it so the server is quiescent when the stats frame is rendered.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fixture.server->stats().requests_served < 1 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  net::RequestMessage request;
+  request.kind = net::MessageKind::kStats;
+  request.id = 2;
+  send(client, request);
+  const auto reply = receive(client);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_TRUE(reply->ok());
+  const std::map<std::string, std::string> kv = parse_stats(reply->detail);
+
+  // Every key the frame has carried keeps its name.
+  for (const char* key :
+       {"connections_accepted", "requests_enqueued", "requests_served",
+        "requests_shed", "queue_depth", "queue_peak", "open_sessions",
+        "idle_closes", "bundle_version", "promotions", "rejections",
+        "rollbacks", "health", "drift_observations", "drift_trips", "served",
+        "errors", "fallbacks", "stale_serves", "deadline_hits",
+        "breaker_opens", "chaos_accept_resets", "chaos_accept_delays",
+        "chaos_write_resets", "chaos_write_truncates",
+        "chaos_dribbled_writes"})
+    EXPECT_EQ(kv.count(key), 1u) << key << " in: " << reply->detail;
+
+  // ... and each value is the stats() field it names.
+  const ServerStats server_stats = fixture.server->stats();
+  const RegistryStats registry_stats = fixture.registry.stats();
+  const svc::ResilienceStats resilience =
+      fixture.registry.active()->resilient->stats();
+  const DriftSnapshot drift = fixture.server->drift();
+  const net::ChaosStats chaos_stats = chaos.stats();
+  expect_rendered(kv, server_stats);
+  expect_rendered(kv, registry_stats);
+  expect_rendered(kv, drift);
+  expect_rendered(kv, resilience);
+  expect_rendered(kv, chaos_stats, "chaos_");
+  // Nothing is rendered beyond the five tables.
+  const auto table_size = [](const auto& fields) {
+    return std::tuple_size_v<std::decay_t<decltype(fields)>>;
+  };
+  EXPECT_EQ(kv.size(), table_size(ServerStats::kFields) +
+                           table_size(RegistryStats::kFields) +
+                           table_size(DriftSnapshot::kFields) +
+                           table_size(svc::ResilienceStats::kFields) +
+                           table_size(net::ChaosStats::kFields))
+      << reply->detail;
+  EXPECT_EQ(server_stats.requests_served, 1u);
+  EXPECT_EQ(kv.at("requests_served"), "1");
+  EXPECT_EQ(kv.at("connections_accepted"), "1");
+  EXPECT_EQ(kv.at("bundle_version"), "1");
+  EXPECT_EQ(kv.at("health"), "warming");
+  EXPECT_EQ(kv.at("served"), "1");
+  EXPECT_EQ(kv.at("chaos_accept_delays"), "1");
 }
 
 TEST(PredictionServer, ReloadFrameWithoutHandlerGetsTypedError) {

@@ -34,9 +34,9 @@
 // round trip, and the server-reported wall time inside the predictor
 // itself. Both report p50/p99/p99.9.
 //
-// Results print as a human summary and are written to --json-out
-// (default BENCH_serve.json) so the serving perf trajectory is recorded
-// per run.
+// Results print as one line of `name=value` counters plus rate and
+// latency lines, and are written to --json-out (default
+// BENCH_serve.json) so the serving perf trajectory is recorded per run.
 //
 // Usage:
 //   epp_loadgen --port P [--host H] [--rps R] [--duration S]
@@ -61,6 +61,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -69,6 +70,7 @@
 #include "svc/resilient.hpp"
 #include "util/annotations.hpp"
 #include "util/cli.hpp"
+#include "util/counter.hpp"
 #include "util/lock_rank.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -305,27 +307,48 @@ RequestTemplate draw_template(const LoadgenConfig& config, util::Rng& rng,
 
 // --- per-lane state -------------------------------------------------------
 
-struct LaneStats {
-  // Sender-side (lane thread only).
-  std::uint64_t sent = 0;
-  std::uint64_t send_failures = 0;    // individual failed writes
-  std::uint64_t request_retries = 0;  // resends after a reconnect
-  std::uint64_t reconnects = 0;       // successful re-establishments
-  std::uint64_t connect_failures = 0; // refused/failed connect() calls
-  std::uint64_t lost_inflight = 0;    // in-flight requests lost to a reset
-  // Receiver-side (receiver thread only).
-  std::uint64_t received = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t deadline = 0;
-  std::uint64_t other_errors = 0;
-  std::uint64_t fallback = 0;
-  std::uint64_t stale = 0;
-  std::uint64_t cached = 0;
-  std::uint64_t observes_sent = 0;
-  LatencyHistogram client_hist{20e-6, 50'000};     // 20 us grain, 1 s span
-  LatencyHistogram predictor_hist{5e-6, 40'000};   // 5 us grain, 200 ms span
+/// Per-lane event counters, merged across lanes after the run. The lane
+/// thread writes the send-side fields, the receiver thread the rest; the
+/// table names are the BENCH_serve.json keys, in file order.
+struct LaneCounters {
+  util::Counter sent;
+  util::Counter received;
+  util::Counter ok;
+  util::Counter shed;
+  util::Counter deadline;
+  util::Counter other_errors;
+  util::Counter unanswered;        // still outstanding after the drain
+  util::Counter fallback;
+  util::Counter stale;
+  util::Counter cached;
+  util::Counter reconnects;        // re-establishments after the first connect
+  util::Counter connect_failures;  // refused/failed connect() calls
+  util::Counter send_failures;     // individual failed writes
+  util::Counter request_retries;   // resends after a reconnect
+  util::Counter lost_inflight;     // in-flight requests lost to a reset
+  util::Counter dead_lanes;        // lanes out of connect attempts
+  util::Counter observes_sent;
+
+  static constexpr std::tuple kFields{
+      util::field("sent", &LaneCounters::sent),
+      util::field("received", &LaneCounters::received),
+      util::field("ok", &LaneCounters::ok),
+      util::field("shed", &LaneCounters::shed),
+      util::field("deadline_exceeded", &LaneCounters::deadline),
+      util::field("other_errors", &LaneCounters::other_errors),
+      util::field("unanswered", &LaneCounters::unanswered),
+      util::field("fallback", &LaneCounters::fallback),
+      util::field("stale", &LaneCounters::stale),
+      util::field("cached", &LaneCounters::cached),
+      util::field("reconnects", &LaneCounters::reconnects),
+      util::field("connect_failures", &LaneCounters::connect_failures),
+      util::field("send_failures", &LaneCounters::send_failures),
+      util::field("request_retries", &LaneCounters::request_retries),
+      util::field("lost_inflight", &LaneCounters::lost_inflight),
+      util::field("dead_lanes", &LaneCounters::dead_lanes),
+      util::field("observes_sent", &LaneCounters::observes_sent)};
 };
+static_assert(util::lists_every_counter<LaneCounters>());
 
 /// What the receiver needs to score a response (and build an observe
 /// frame for it).
@@ -348,11 +371,12 @@ struct LiveConn {
 /// One load-generation lane: a schedule, a current connection and its
 /// receiver thread, reconnected as needed.
 struct Lane {
-  LaneStats stats;
+  LaneCounters counters;
+  LatencyHistogram client_hist{20e-6, 50'000};    // 20 us grain, 1 s span
+  LatencyHistogram predictor_hist{5e-6, 40'000};  // 5 us grain, 200 ms span
   std::atomic<std::uint64_t> outstanding{0};
   std::unique_ptr<LiveConn> conn;  // written by the lane thread only
   std::thread receiver;
-  bool dead = false;  // lane gave up (connect attempts exhausted)
 };
 
 void receiver_loop(const LoadgenConfig& config, Lane& lane, LiveConn& conn) {
@@ -385,16 +409,16 @@ void receiver_loop(const LoadgenConfig& config, Lane& lane, LiveConn& conn) {
     if (!pending) continue;  // control/observe ack (ping/stats/observe)
     lane.outstanding.fetch_sub(1, std::memory_order_acq_rel);
 
-    LaneStats& stats = lane.stats;
-    ++stats.received;
-    stats.client_hist.record(
+    LaneCounters& counters = lane.counters;
+    counters.received.add();
+    lane.client_hist.record(
         std::chrono::duration<double>(now - pending->sent_at).count());
     if (response.ok()) {
-      ++stats.ok;
-      stats.predictor_hist.record(response.predictor_latency_s);
-      if ((response.flags & net::kFlagFallback) != 0) ++stats.fallback;
-      if ((response.flags & net::kFlagStale) != 0) ++stats.stale;
-      if ((response.flags & net::kFlagCached) != 0) ++stats.cached;
+      counters.ok.add();
+      lane.predictor_hist.record(response.predictor_latency_s);
+      if ((response.flags & net::kFlagFallback) != 0) counters.fallback.add();
+      if ((response.flags & net::kFlagStale) != 0) counters.stale.add();
+      if ((response.flags & net::kFlagCached) != 0) counters.cached.add();
       if (config.observe_scale > 0.0 && response.mean_rt_s > 0.0) {
         // Close the telemetry loop: report scale x the prediction as the
         // measured RT for the same workload. Fire-and-forget — the ack
@@ -411,19 +435,19 @@ void receiver_loop(const LoadgenConfig& config, Lane& lane, LiveConn& conn) {
         try {
           const std::lock_guard lock(conn.write_mutex);
           if (net::write_frame(conn.socket, net::encode_request(observe)))
-            ++stats.observes_sent;
+            counters.observes_sent.add();
         } catch (const std::exception&) {
           // Connection died mid-observe; the sender will notice.
         }
       }
     } else if (response.error_code ==
                static_cast<std::uint8_t>(svc::ErrorCode::kOverloaded)) {
-      ++stats.shed;
+      counters.shed.add();
     } else if (response.error_code ==
                static_cast<std::uint8_t>(svc::ErrorCode::kDeadlineExceeded)) {
-      ++stats.deadline;
+      counters.deadline.add();
     } else {
-      ++stats.other_errors;
+      counters.other_errors.add();
     }
   }
 }
@@ -440,7 +464,7 @@ void close_conn(Lane& lane) {
     lost = lane.conn->inflight.size();
     lane.conn->inflight.clear();
   }
-  lane.stats.lost_inflight += lost;
+  lane.counters.lost_inflight.add(lost);
   lane.outstanding.fetch_sub(lost, std::memory_order_acq_rel);
   lane.conn.reset();
 }
@@ -450,6 +474,8 @@ void close_conn(Lane& lane) {
 /// [0.5, 1.5) so lanes retrying the same dead server do not stampede
 /// it in lockstep. Returns false (lane dead) when attempts run out.
 bool open_conn(const LoadgenConfig& config, Lane& lane, util::Rng& rng) {
+  // Only the lane's first connect finds no connection to replace.
+  const bool reconnect = lane.conn != nullptr;
   close_conn(lane);
   constexpr double kBackoffBaseS = 0.010;
   constexpr double kBackoffCapS = 0.640;
@@ -464,17 +490,17 @@ bool open_conn(const LoadgenConfig& config, Lane& lane, util::Rng& rng) {
       auto conn = std::make_unique<LiveConn>();
       conn->socket = net::Socket::connect(config.host, config.port);
       lane.conn = std::move(conn);
-      ++lane.stats.reconnects;
+      if (reconnect) lane.counters.reconnects.add();
       lane.receiver = std::thread(
           [&config, &lane, live = lane.conn.get()] {
             receiver_loop(config, lane, *live);
           });
       return true;
     } catch (const net::SocketError&) {
-      ++lane.stats.connect_failures;
+      lane.counters.connect_failures.add();
     }
   }
-  lane.dead = true;
+  lane.counters.dead_lanes.add();
   return false;
 }
 
@@ -523,7 +549,7 @@ void lane_loop(const LoadgenConfig& config, Lane& lane, std::size_t index,
     bool lane_alive = true;
     for (int attempt = 0; attempt <= config.retry_budget; ++attempt) {
       if (attempt > 0) {
-        ++lane.stats.request_retries;
+        lane.counters.request_retries.add();
         if (!open_conn(config, lane, rng)) {
           lane_alive = false;
           break;
@@ -543,10 +569,10 @@ void lane_loop(const LoadgenConfig& config, Lane& lane, std::size_t index,
         sent = false;
       }
       if (sent) {
-        ++lane.stats.sent;
+        lane.counters.sent.add();
         break;
       }
-      ++lane.stats.send_failures;
+      lane.counters.send_failures.add();
       lane.outstanding.fetch_sub(1, std::memory_order_acq_rel);
       const std::lock_guard lock(lane.conn->inflight_mutex);
       lane.conn->inflight.erase(request.id);
@@ -645,32 +671,13 @@ int main(int argc, char** argv) try {
   }
 
   // --- merge and report ---------------------------------------------------
-  LaneStats merged;
-  std::uint64_t outstanding = 0;
-  std::size_t dead_lanes = 0;
+  Lane total;  // the lanes' counters and histograms, merged
+  LaneCounters& merged = total.counters;
   for (auto& lane : lanes) {
-    const LaneStats& stats = lane->stats;
-    merged.sent += stats.sent;
-    merged.received += stats.received;
-    merged.ok += stats.ok;
-    merged.shed += stats.shed;
-    merged.deadline += stats.deadline;
-    merged.other_errors += stats.other_errors;
-    merged.fallback += stats.fallback;
-    merged.stale += stats.stale;
-    merged.cached += stats.cached;
-    merged.send_failures += stats.send_failures;
-    merged.request_retries += stats.request_retries;
-    // The first successful connect also counts as a "reconnect" in the
-    // lane's own bookkeeping; report re-establishments only.
-    merged.reconnects += stats.reconnects > 0 ? stats.reconnects - 1 : 0;
-    merged.connect_failures += stats.connect_failures;
-    merged.lost_inflight += stats.lost_inflight;
-    merged.observes_sent += stats.observes_sent;
-    merged.client_hist.merge(stats.client_hist);
-    merged.predictor_hist.merge(stats.predictor_hist);
-    outstanding += lane->outstanding.load(std::memory_order_acquire);
-    if (lane->dead) ++dead_lanes;
+    util::merge(merged, lane->counters);
+    merged.unanswered.add(lane->outstanding.load(std::memory_order_acquire));
+    total.client_hist.merge(lane->client_hist);
+    total.predictor_hist.merge(lane->predictor_hist);
   }
   const double achieved_rps =
       send_wall_s > 0.0 ? static_cast<double>(merged.received) / send_wall_s
@@ -678,33 +685,12 @@ int main(int argc, char** argv) try {
   const double offered_rps =
       send_wall_s > 0.0 ? static_cast<double>(merged.sent) / send_wall_s : 0.0;
 
-  std::cout << "sent " << merged.sent << ", received " << merged.received
-            << " (ok " << merged.ok << ", shed " << merged.shed
-            << ", deadline " << merged.deadline << ", errors "
-            << merged.other_errors << ", unanswered " << outstanding << ")\n";
-  std::cout << "offered " << offered_rps << " rps, achieved " << achieved_rps
+  util::render_kv(std::cout, merged);
+  std::cout << "\noffered " << offered_rps << " rps, achieved " << achieved_rps
             << " rps over " << send_wall_s << " s\n";
-  std::cout << "degraded: " << merged.fallback << " fallback, " << merged.stale
-            << " stale, " << merged.cached << " cache hits\n";
-  std::cout << "transport: " << merged.reconnects << " reconnects, "
-            << merged.connect_failures << " connect failures, "
-            << merged.send_failures << " send failures, "
-            << merged.request_retries << " request retries, "
-            << merged.lost_inflight << " lost in-flight, " << dead_lanes
-            << " dead lane(s)";
-  if (config.observe_scale > 0.0)
-    std::cout << "; " << merged.observes_sent << " observe frames (scale "
-              << config.observe_scale << ")";
-  std::cout << "\n";
-  const auto print_hist = [](const char* label, const LatencyHistogram& hist) {
-    std::cout << label << " p50 " << hist.percentile_s(50.0) * 1e3
-              << " ms, p99 " << hist.percentile_s(99.0) * 1e3
-              << " ms, p99.9 " << hist.percentile_s(99.9) * 1e3
-              << " ms, max " << hist.max_s() * 1e3 << " ms ("
-              << hist.total() << " samples)\n";
-  };
-  print_hist("client   ", merged.client_hist);
-  print_hist("predictor", merged.predictor_hist);
+  std::cout << "client_latency " << json_quantiles(total.client_hist)
+            << "\npredictor_latency " << json_quantiles(total.predictor_hist)
+            << "\n";
 
   if (!config.json_out.empty()) {
     std::ofstream json(config.json_out);
@@ -735,29 +721,16 @@ int main(int argc, char** argv) try {
          << "    \"offered_rps\": " << offered_rps << ",\n"
          << "    \"achieved_rps\": " << achieved_rps << ",\n"
          << "    \"send_wall_s\": " << send_wall_s << ",\n"
-         << "    \"client_latency\": " << json_quantiles(merged.client_hist)
+         << "    \"client_latency\": " << json_quantiles(total.client_hist)
          << ",\n"
          << "    \"predictor_latency\": "
-         << json_quantiles(merged.predictor_hist) << "\n"
-         << "  },\n"
-         << "  \"sent\": " << merged.sent << ",\n"
-         << "  \"received\": " << merged.received << ",\n"
-         << "  \"ok\": " << merged.ok << ",\n"
-         << "  \"shed\": " << merged.shed << ",\n"
-         << "  \"deadline_exceeded\": " << merged.deadline << ",\n"
-         << "  \"other_errors\": " << merged.other_errors << ",\n"
-         << "  \"unanswered\": " << outstanding << ",\n"
-         << "  \"fallback\": " << merged.fallback << ",\n"
-         << "  \"stale\": " << merged.stale << ",\n"
-         << "  \"cached\": " << merged.cached << ",\n"
-         << "  \"reconnects\": " << merged.reconnects << ",\n"
-         << "  \"connect_failures\": " << merged.connect_failures << ",\n"
-         << "  \"send_failures\": " << merged.send_failures << ",\n"
-         << "  \"request_retries\": " << merged.request_retries << ",\n"
-         << "  \"lost_inflight\": " << merged.lost_inflight << ",\n"
-         << "  \"dead_lanes\": " << dead_lanes << ",\n"
-         << "  \"observes_sent\": " << merged.observes_sent << "\n"
-         << "}\n";
+         << json_quantiles(total.predictor_hist) << "\n"
+         << "  }";
+    util::for_each_field(merged, [&](std::string_view name,
+                                     const util::Counter& value) {
+      json << ",\n  \"" << name << "\": " << value;
+    });
+    json << "\n}\n";
     std::cerr << "wrote " << config.json_out << "\n";
   }
 

@@ -36,7 +36,8 @@
 // the chaos smoke job drives with epp_loadgen retries.
 //
 // Prints exactly one "listening on HOST:PORT" line to stdout once ready
-// (scripts and CI scrape it), then stats lines to stderr on shutdown.
+// (scripts and CI scrape it), then on shutdown one "stats" line to
+// stderr: the kStats frame's `name=value` text after the drain.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -287,41 +288,7 @@ int main(int argc, char** argv) try {
   std::cerr << "epp_serve: draining...\n";
   server.stop();
 
-  const serve::ServerStats server_stats = server.stats();
-  const serve::RegistryStats registry_stats = registry.stats();
-  const serve::DriftSnapshot drift = server.drift();
-  std::cerr << "served " << server_stats.requests_served << " of "
-            << server_stats.requests_enqueued << " admitted ("
-            << server_stats.requests_shed << " shed, "
-            << server_stats.bad_frames << " bad frames, "
-            << server_stats.idle_closes << " idle closes, peak queue "
-            << server_stats.queue_peak << ") over "
-            << server_stats.connections_accepted << " connection(s)\n";
-  std::cerr << "registry: version " << registry_stats.active_version << " ("
-            << registry_stats.promotions << " promotions, "
-            << registry_stats.rejections << " rejections, "
-            << registry_stats.rollbacks << " rollbacks); drift "
-            << serve::health_state_name(drift.state) << " ("
-            << drift.observations << " observations, " << drift.trips
-            << " trips)\n";
-  if (const auto active = registry.active(); active != nullptr) {
-    const svc::ResilienceStats resilience_stats = active->resilient->stats();
-    std::cerr << "resilience: " << resilience_stats.served << " served / "
-              << resilience_stats.errors << " errors; "
-              << resilience_stats.retries << " retries, "
-              << resilience_stats.fallbacks << " fallbacks, "
-              << resilience_stats.stale_serves << " stale, "
-              << resilience_stats.deadline_hits << " deadline, "
-              << resilience_stats.breaker_opens << " breaker opens\n";
-  }
-  if (chaos) {
-    const net::ChaosStats chaos_stats = chaos->stats();
-    std::cerr << "chaos: " << chaos_stats.accept_resets << " accept resets, "
-              << chaos_stats.accept_delays << " accept delays, "
-              << chaos_stats.write_resets << " write resets, "
-              << chaos_stats.write_truncates << " truncated frames, "
-              << chaos_stats.dribbled_writes << " dribbled writes\n";
-  }
+  std::cerr << "epp_serve: stats " << server.stats_text() << "\n";
   return 0;
 } catch (const std::exception& error) {
   std::cerr << "epp_serve: " << error.what() << "\n\n";

@@ -48,6 +48,7 @@
 #include "svc/fault.hpp"
 #include "svc/resilient.hpp"
 #include "util/cli.hpp"
+#include "util/counter.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -360,24 +361,19 @@ int main(int argc, char** argv) try {
     std::cout << "(+ = fallback method, * = stale replay)\n";
   }
 
-  const svc::ResilienceStats rstats = server_layer.stats();
-  std::cerr << "resilience: " << rstats.served << " served / "
-            << rstats.errors << " errors of " << rstats.requests
-            << " requests; " << rstats.retries << " retries, "
-            << rstats.fallbacks << " fallbacks, " << rstats.stale_serves
-            << " stale, " << rstats.deadline_hits << " deadline, "
-            << rstats.breaker_rejections << " breaker-rejected ("
-            << rstats.breaker_opens << " opens)\n";
+  std::cerr << "resilience: ";
+  util::render_kv(std::cerr, server_layer.stats());
+  std::cerr << "\n";
   if (injector)
     std::cerr << "faults: " << injector->injected_failures() << " injected"
               << " of " << injector->decisions() << " decisions (seed "
               << injector->seed() << ")\n";
 
   const svc::CacheStats stats = engine.cache_stats();
-  std::cerr << "cache: " << stats.hits << " hits, " << stats.misses
-            << " misses, " << stats.evictions << " evictions ("
-            << util::fmt(100.0 * stats.hit_ratio(), 1) << "% hit ratio, "
-            << stats.entries << " entries)\n";
+  std::cerr << "cache: ";
+  util::render_kv(std::cerr, stats);
+  std::cerr << " (" << util::fmt(100.0 * stats.hit_ratio(), 1)
+            << "% hit ratio)\n";
   return 0;
 } catch (const std::exception& error) {
   std::cerr << "epp_sweep: " << error.what() << "\n\n";
